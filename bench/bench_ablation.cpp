@@ -9,7 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/LinkedList.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +18,6 @@
 #include "support/Trace.h"
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
@@ -55,7 +55,7 @@ static void printTable() {
   std::printf("\n");
 
   for (const Config &C : Configs) {
-    auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
+    auto Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_safety.gilr");
     Lib->Auto.AutoUnfold = C.AutoUnfold;
     Lib->Auto.AutoBorrow = C.AutoBorrow;
     Lib->Auto.AutoCloseAtReturn = C.AutoClose;
@@ -75,7 +75,7 @@ static void printTable() {
 }
 
 static void BM_FullAutomation(benchmark::State &State) {
-  auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
+  auto Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_safety.gilr");
   for (auto _ : State) {
     engine::VerifEnv Env = Lib->env();
     engine::Verifier V(Env);
@@ -88,7 +88,8 @@ BENCHMARK(BM_FullAutomation)->Unit(benchmark::kMillisecond);
 static void BM_ObsExtractionOnOff(benchmark::State &State) {
   // A3: §7.3 observation extraction (our extension) on/off.
   bool On = State.range(0) != 0;
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib =
+      frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr");
   Lib->Auto.ObsExtraction = On;
   for (auto _ : State) {
     engine::VerifEnv Env = Lib->env();

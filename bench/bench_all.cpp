@@ -24,7 +24,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/LinkedList.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 #include "solver/Flight.h"
 #include "support/Files.h"
 #include "support/Json.h"
@@ -300,12 +301,13 @@ struct OverheadResult {
 };
 
 double runFunctionalSuite() {
-  auto Lib = rustlib::buildLinkedListLib(rustlib::SpecMode::Functional);
+  auto Lib =
+      frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr");
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);
   double T0 = nowSeconds();
   bool Ok = true;
-  for (const engine::VerifyReport &R : V.verifyAll(rustlib::functionalFunctions()))
+  for (const engine::VerifyReport &R : V.verifyAll(Lib->verifyFuncs()))
     Ok = Ok && R.Ok;
   double Secs = nowSeconds() - T0;
   return Ok ? Secs : -1.0;

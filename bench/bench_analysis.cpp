@@ -14,8 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/LinkedList.h"
-#include "rustlib/Vec.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 #include "sched/Scheduler.h"
 #include "support/StringUtils.h"
 #include "support/Trace.h"
@@ -27,7 +27,6 @@
 #include <vector>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
@@ -130,8 +129,9 @@ int main(int argc, char **argv) {
   std::vector<SuiteResult> Suites;
 
   {
-    auto Lib = buildLinkedListLib(SpecMode::Functional);
-    std::vector<std::string> Funcs = functionalFunctions();
+    auto Lib =
+        frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr");
+    std::vector<std::string> Funcs = Lib->verifyFuncs();
     Funcs.push_back("LinkedList::front_mut");
     Suites.push_back(measure(
         "linkedlist-functional", Funcs.size(),
@@ -149,8 +149,8 @@ int main(int argc, char **argv) {
   }
 
   {
-    auto Lib = buildVecLib();
-    std::vector<std::string> Funcs = vecFunctions();
+    auto Lib = frontend::loadModule(GILR_CORPUS_DIR "/vec.gilr");
+    std::vector<std::string> Funcs = Lib->verifyFuncs();
     Suites.push_back(measure(
         "vec-raw-buffer", Funcs.size(), [&](analysis::AnalysisResult &AR) {
           engine::VerifEnv Env = Lib->env();

@@ -6,7 +6,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/LinkedList.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
+#include "hybrid/Encode.h"
 
 #include <benchmark/benchmark.h>
 
@@ -14,10 +16,12 @@
 #include "support/Trace.h"
 
 using namespace gilr;
-using namespace gilr::rustlib;
+
+static const char *const E2Module =
+    GILR_CORPUS_DIR "/linkedlist_functional.gilr";
 
 static void printTable() {
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib = frontend::loadModule(E2Module);
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);
 
@@ -25,7 +29,7 @@ static void printTable() {
   std::printf("%-32s %-10s %-10s %s\n", "function", "verified", "time (s)",
               "contract");
   double Total = 0.0;
-  for (const std::string &Name : functionalFunctions()) {
+  for (const std::string &Name : Lib->verifyFuncs()) {
     engine::VerifyReport R = V.verifyFunction(Name);
     Total += R.Seconds;
     const creusot::PearliteSpec *PS = Lib->Contracts.lookup(Name);
@@ -49,7 +53,7 @@ static void printTable() {
 
 static void BM_Functional_Function(benchmark::State &State,
                                    const std::string &Name) {
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib = frontend::loadModule(E2Module);
   for (auto _ : State) {
     engine::VerifEnv Env = Lib->env();
     engine::Verifier V(Env);
@@ -61,11 +65,11 @@ static void BM_Functional_Function(benchmark::State &State,
 }
 
 static void BM_Functional_Suite(benchmark::State &State) {
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib = frontend::loadModule(E2Module);
   for (auto _ : State) {
     engine::VerifEnv Env = Lib->env();
     engine::Verifier V(Env);
-    for (const std::string &Name : functionalFunctions()) {
+    for (const std::string &Name : Lib->verifyFuncs()) {
       engine::VerifyReport R = V.verifyFunction(Name);
       if (!R.Ok)
         State.SkipWithError("verification failed");
@@ -76,7 +80,7 @@ BENCHMARK(BM_Functional_Suite)->Unit(benchmark::kMillisecond);
 
 static void BM_PearliteEncoding(benchmark::State &State) {
   // Cost of the §5.4 systematic encoding alone.
-  auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
+  auto Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_safety.gilr");
   const creusot::PearliteSpec *PS =
       Lib->Contracts.lookup("LinkedList::pop_front_node");
   const rmir::Function *F = Lib->Prog.lookup("LinkedList::pop_front_node");
@@ -90,7 +94,8 @@ BENCHMARK(BM_PearliteEncoding);
 int main(int argc, char **argv) {
   gilr::trace::configureFromEnv();
   printTable();
-  for (const std::string &Name : functionalFunctions())
+  for (const std::string &Name :
+       frontend::loadModule(E2Module)->verifyFuncs())
     benchmark::RegisterBenchmark(("BM_Functional/" + Name).c_str(),
                                  BM_Functional_Function, Name)
         ->Unit(benchmark::kMillisecond);

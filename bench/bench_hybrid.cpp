@@ -6,8 +6,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
+#include "frontend/Corpus.h"
+#include "hybrid/Driver.h"
 #include "support/Trace.h"
 
 #include <benchmark/benchmark.h>
@@ -15,13 +15,16 @@
 #include <cstdio>
 
 using namespace gilr;
-using namespace gilr::rustlib;
+
+static const char *const E2Module =
+    GILR_CORPUS_DIR "/linkedlist_functional.gilr";
 
 static void printTable() {
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib = frontend::loadModule(E2Module);
   engine::VerifEnv Env = Lib->env();
   hybrid::HybridDriver Driver(Env, Lib->Contracts);
-  hybrid::HybridReport R = Driver.run(functionalFunctions(), makeClients());
+  hybrid::HybridReport R =
+      Driver.run(Lib->verifyFuncs(), Lib->verifyClients());
 
   std::printf("\n=== H1: hybrid verification (Fig. 1's division of labour) "
               "===\n");
@@ -37,9 +40,10 @@ static void printTable() {
 }
 
 static void BM_SafeClient_Chain(benchmark::State &State) {
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
   unsigned N = static_cast<unsigned>(State.range(0));
-  creusot::SafeFn Client = makeChainClient(N);
+  auto Lib = frontend::loadModule(E2Module, frontend::chainClientText(N));
+  const creusot::SafeFn &Client =
+      *Lib->lookupClient("client_chain_" + std::to_string(N));
   for (auto _ : State) {
     creusot::SafeVerifier SV(Lib->Contracts, Lib->Solv);
     creusot::SafeReport R = SV.verify(Client);
@@ -56,7 +60,7 @@ BENCHMARK(BM_SafeClient_Chain)
     ->Unit(benchmark::kMillisecond);
 
 static void BM_UnsafeSide_PopFrontNode(benchmark::State &State) {
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib = frontend::loadModule(E2Module);
   for (auto _ : State) {
     engine::VerifEnv Env = Lib->env();
     engine::Verifier V(Env);

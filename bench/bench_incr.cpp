@@ -20,12 +20,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "frontend/Corpus.h"
+#include "hybrid/Driver.h"
 #include "incr/ProofStore.h"
 #include "incr/Session.h"
 #include "rmir/Builder.h"
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
-#include "rustlib/Vec.h"
 #include "sched/Scheduler.h"
 #include "support/StringUtils.h"
 #include "support/Trace.h"
@@ -39,7 +38,6 @@
 #include <vector>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
@@ -330,10 +328,11 @@ int main(int argc, char **argv) {
     // LinkedList functional hybrid: the full two-sided workload, including
     // front_mut (the lemma-applying proof) so the edit lever has a
     // dependent.
-    auto Lib = buildLinkedListLib(SpecMode::Functional);
-    std::vector<std::string> Funcs = functionalFunctions();
+    auto Lib =
+        frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr");
+    std::vector<std::string> Funcs = Lib->verifyFuncs();
     Funcs.push_back("LinkedList::front_mut");
-    std::vector<creusot::SafeFn> Clients = makeClients();
+    std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
 
     SuiteResult Suite;
     Suite.Name = "linkedlist-functional-hybrid";
@@ -397,8 +396,8 @@ int main(int argc, char **argv) {
   {
     // Vec raw-buffer: the unsafe-only suite through the Verifier's
     // incremental entry point.
-    auto Lib = buildVecLib();
-    std::vector<std::string> Funcs = vecFunctions();
+    auto Lib = frontend::loadModule(GILR_CORPUS_DIR "/vec.gilr");
+    std::vector<std::string> Funcs = Lib->verifyFuncs();
 
     SuiteResult Suite;
     Suite.Name = "vec-raw-buffer";

@@ -22,8 +22,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 #include "rmir/Builder.h"
-#include "rustlib/LinkedList.h"
 #include "sched/Scheduler.h"
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
@@ -265,8 +265,9 @@ int main(int argc, char **argv) {
   }
 
   {
-    auto Lib = rustlib::buildLinkedListLib(rustlib::SpecMode::Functional);
-    std::vector<std::string> Funcs = rustlib::functionalFunctions();
+    auto Lib =
+        frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr");
+    std::vector<std::string> Funcs = Lib->verifyFuncs();
     Suites.push_back(
         measure("linkedlist-functional", Funcs.size(), /*RequiredTriaged=*/0,
                 [&]() {

@@ -11,9 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
-#include "rustlib/Vec.h"
+#include "frontend/Corpus.h"
 #include "sched/Scheduler.h"
 #include "support/StringUtils.h"
 #include "support/Trace.h"
@@ -26,7 +24,6 @@
 #include <vector>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
@@ -180,11 +177,14 @@ int main(int argc, char **argv) {
   {
     // The full hybrid workload: both sides of the LinkedList functional
     // experiment, plus the chain clients for heavier safe-side jobs.
-    auto Lib = buildLinkedListLib(SpecMode::Functional);
-    std::vector<std::string> Funcs = functionalFunctions();
-    std::vector<creusot::SafeFn> Clients = makeClients();
-    Clients.push_back(makeChainClient(6));
-    Clients.push_back(makeChainClient(8));
+    auto Lib =
+        frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr",
+                             frontend::chainClientText(6) +
+                                 frontend::chainClientText(8));
+    std::vector<std::string> Funcs = Lib->verifyFuncs();
+    std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
+    Clients.push_back(*Lib->lookupClient("client_chain_6"));
+    Clients.push_back(*Lib->lookupClient("client_chain_8"));
 
     SuiteResult Suite = runSuite(
         "linkedlist-functional-hybrid", Funcs.size() + Clients.size(),
@@ -197,8 +197,9 @@ int main(int argc, char **argv) {
   }
 
   {
-    auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
-    std::vector<std::string> Funcs = typeSafetyFunctions();
+    auto Lib =
+        frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_safety.gilr");
+    std::vector<std::string> Funcs = Lib->verifyFuncs();
 
     SuiteResult Suite = runSuite(
         "linkedlist-type-safety", Funcs.size(), [&](sched::Scheduler &S) {
@@ -213,8 +214,8 @@ int main(int argc, char **argv) {
   }
 
   {
-    auto Lib = buildVecLib();
-    std::vector<std::string> Funcs = vecFunctions();
+    auto Lib = frontend::loadModule(GILR_CORPUS_DIR "/vec.gilr");
+    std::vector<std::string> Funcs = Lib->verifyFuncs();
 
     SuiteResult Suite = runSuite(
         "vec-raw-buffer", Funcs.size(), [&](sched::Scheduler &S) {

@@ -5,7 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/Stack.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 
 #include <benchmark/benchmark.h>
 
@@ -13,26 +14,26 @@
 #include "support/Trace.h"
 
 using namespace gilr;
-using namespace gilr::rustlib;
+
+static const char *const SafetyModule = GILR_CORPUS_DIR "/stack_safety.gilr";
+static const char *const FunctionalModule =
+    GILR_CORPUS_DIR "/stack_functional.gilr";
 
 static void printTable() {
   std::printf("\n=== Extension: Stack<T> (singly-linked, raw pointers) "
               "===\n");
-  for (StackSpecMode Mode :
-       {StackSpecMode::TypeSafety, StackSpecMode::Functional}) {
-    auto Lib = buildStackLib(Mode);
+  for (bool Safety : {true, false}) {
+    auto Lib = frontend::loadModule(Safety ? SafetyModule : FunctionalModule);
     engine::VerifEnv Env = Lib->env();
     engine::Verifier V(Env);
-    const char *Title = Mode == StackSpecMode::TypeSafety
-                            ? "type safety (#[show_safety])"
-                            : "functional (Pearlite encoded)";
+    const char *Title = Safety ? "type safety (#[show_safety])"
+                               : "functional (Pearlite encoded)";
     std::printf("-- %s --\n", Title);
     double Total = 0.0;
     std::vector<std::string> Funcs =
-        Mode == StackSpecMode::TypeSafety
-            ? stackFunctions()
-            : std::vector<std::string>{"Stack::new", "Stack::push",
-                                       "Stack::pop"};
+        Safety ? Lib->verifyFuncs()
+               : std::vector<std::string>{"Stack::new", "Stack::push",
+                                          "Stack::pop"};
     for (const std::string &Name : Funcs) {
       engine::VerifyReport R = V.verifyFunction(Name);
       Total += R.Seconds;
@@ -45,11 +46,11 @@ static void printTable() {
 }
 
 static void BM_Stack_TypeSafetySuite(benchmark::State &State) {
-  auto Lib = buildStackLib(StackSpecMode::TypeSafety);
+  auto Lib = frontend::loadModule(SafetyModule);
   for (auto _ : State) {
     engine::VerifEnv Env = Lib->env();
     engine::Verifier V(Env);
-    for (const std::string &Name : stackFunctions()) {
+    for (const std::string &Name : Lib->verifyFuncs()) {
       engine::VerifyReport R = V.verifyFunction(Name);
       if (!R.Ok)
         State.SkipWithError("verification failed");
@@ -59,7 +60,7 @@ static void BM_Stack_TypeSafetySuite(benchmark::State &State) {
 BENCHMARK(BM_Stack_TypeSafetySuite)->Unit(benchmark::kMillisecond);
 
 static void BM_Stack_FunctionalPop(benchmark::State &State) {
-  auto Lib = buildStackLib(StackSpecMode::Functional);
+  auto Lib = frontend::loadModule(FunctionalModule);
   for (auto _ : State) {
     engine::VerifEnv Env = Lib->env();
     engine::Verifier V(Env);

@@ -11,8 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/LinkedList.h"
-#include "rustlib/Vec.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
 #include "support/Trace.h"
@@ -23,7 +23,6 @@
 #include <vector>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
@@ -86,19 +85,15 @@ int main(int argc, char **argv) {
   trace::configure(O);
 
   std::vector<CaseResult> Cases;
-  {
-    auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
-    Cases.push_back(runCase("linkedlist-type-safety", Lib->env(),
-                            typeSafetyFunctions()));
-  }
-  {
-    auto Lib = buildLinkedListLib(SpecMode::Functional);
-    Cases.push_back(runCase("linkedlist-functional", Lib->env(),
-                            functionalFunctions()));
-  }
-  {
-    auto Lib = buildVecLib();
-    Cases.push_back(runCase("vec-raw-buffer", Lib->env(), vecFunctions()));
+  const std::pair<const char *, const char *> Suites[] = {
+      {"linkedlist-type-safety", "linkedlist_safety"},
+      {"linkedlist-functional", "linkedlist_functional"},
+      {"vec-raw-buffer", "vec"},
+  };
+  for (const auto &[Name, Module] : Suites) {
+    auto Lib = frontend::loadModule(std::string(GILR_CORPUS_DIR) + "/" +
+                                    Module + ".gilr");
+    Cases.push_back(runCase(Name, Lib->env(), Lib->verifyFuncs()));
   }
 
   bool AllOk = true;

@@ -9,7 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/LinkedList.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 
 #include <benchmark/benchmark.h>
 
@@ -17,10 +18,12 @@
 #include "support/Trace.h"
 
 using namespace gilr;
-using namespace gilr::rustlib;
+
+static const char *const E1Module =
+    GILR_CORPUS_DIR "/linkedlist_safety.gilr";
 
 static void printTable() {
-  auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
+  auto Lib = frontend::loadModule(E1Module);
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);
 
@@ -28,7 +31,7 @@ static void printTable() {
   std::printf("%-28s %-10s %-10s %-12s %s\n", "function", "verified",
               "time (s)", "annotations", "paper note");
   double Total = 0.0;
-  for (const std::string &Name : typeSafetyFunctions()) {
+  for (const std::string &Name : Lib->verifyFuncs()) {
     engine::VerifyReport R = V.verifyFunction(Name);
     Total += R.Seconds;
     const char *Note =
@@ -44,7 +47,7 @@ static void printTable() {
 
 static void BM_TypeSafety_Function(benchmark::State &State,
                                    const std::string &Name) {
-  auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
+  auto Lib = frontend::loadModule(E1Module);
   for (auto _ : State) {
     engine::VerifEnv Env = Lib->env();
     engine::Verifier V(Env);
@@ -56,11 +59,11 @@ static void BM_TypeSafety_Function(benchmark::State &State,
 }
 
 static void BM_TypeSafety_Suite(benchmark::State &State) {
-  auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
+  auto Lib = frontend::loadModule(E1Module);
   for (auto _ : State) {
     engine::VerifEnv Env = Lib->env();
     engine::Verifier V(Env);
-    for (const std::string &Name : typeSafetyFunctions()) {
+    for (const std::string &Name : Lib->verifyFuncs()) {
       engine::VerifyReport R = V.verifyFunction(Name);
       if (!R.Ok)
         State.SkipWithError("verification failed");
@@ -69,19 +72,20 @@ static void BM_TypeSafety_Suite(benchmark::State &State) {
 }
 BENCHMARK(BM_TypeSafety_Suite)->Unit(benchmark::kMillisecond);
 
-static void BM_BuildLibrary(benchmark::State &State) {
-  // Library construction includes the automatic lemma proofs.
+static void BM_LoadModule(benchmark::State &State) {
+  // Loading parses the module and runs the automatic lemma proofs.
   for (auto _ : State) {
-    auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
+    auto Lib = frontend::loadModule(E1Module);
     benchmark::DoNotOptimize(Lib);
   }
 }
-BENCHMARK(BM_BuildLibrary)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadModule)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
   gilr::trace::configureFromEnv();
   printTable();
-  for (const std::string &Name : typeSafetyFunctions())
+  for (const std::string &Name :
+       frontend::loadModule(E1Module)->verifyFuncs())
     benchmark::RegisterBenchmark(("BM_TypeSafety/" + Name).c_str(),
                                  BM_TypeSafety_Function, Name)
         ->Unit(benchmark::kMillisecond);

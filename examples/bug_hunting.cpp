@@ -7,18 +7,20 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/LinkedList.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 
 #include <cstdio>
 #include "support/Trace.h"
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 int main() {
   gilr::trace::configureFromEnv();
-  auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
-  std::vector<std::string> Buggy = registerBuggyVariants(*Lib);
+  // The buggy module is linkedlist_safety plus the three injected variants,
+  // which are exactly its verify list.
+  auto Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_buggy.gilr");
+  std::vector<std::string> Buggy = Lib->verifyFuncs();
 
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);

@@ -7,18 +7,18 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
+#include "frontend/Corpus.h"
+#include "hybrid/Driver.h"
 
 #include <cstdio>
 #include "support/Trace.h"
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 int main() {
   gilr::trace::configureFromEnv();
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib =
+      frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr");
   engine::VerifEnv Env = Lib->env();
   hybrid::HybridDriver Driver(Env, Lib->Contracts);
 
@@ -28,7 +28,8 @@ int main() {
 
   std::printf("\n== Gillian-Rust side: verifying the unsafe "
               "implementations ==\n");
-  hybrid::HybridReport R = Driver.run(functionalFunctions(), makeClients());
+  hybrid::HybridReport R =
+      Driver.run(Lib->verifyFuncs(), Lib->verifyClients());
   for (const engine::VerifyReport &U : R.UnsafeSide) {
     std::printf("  %-32s %-8s %7.4fs\n", U.Func.c_str(),
                 U.Ok ? "OK" : "FAIL", U.Seconds);
@@ -45,8 +46,10 @@ int main() {
   }
 
   std::printf("\n== Negative check: a client missing a precondition ==\n");
-  creusot::SafeVerifier SV(Lib->Contracts, Lib->Solv);
-  creusot::SafeReport Bad = SV.verify(makeBadClient());
+  auto BadLib = frontend::loadModule(GILR_CORPUS_DIR "/clients_bad.gilr");
+  creusot::SafeVerifier SV(BadLib->Contracts, BadLib->Solv);
+  creusot::SafeReport Bad =
+      SV.verify(*BadLib->lookupClient("client_overflow_guard"));
   std::printf("  %-32s %s (expected FAIL)\n", Bad.Func.c_str(),
               Bad.Ok ? "OK?!" : "FAIL");
 

@@ -6,20 +6,20 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 #include "rmir/Printer.h"
-#include "rustlib/LinkedList.h"
 
 #include <cstdio>
 #include "support/Trace.h"
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 int main() {
   gilr::trace::configureFromEnv();
-  std::printf("Building the LinkedList module (types, dllSeg, Ownable "
+  std::printf("Loading the LinkedList module (types, dllSeg, Ownable "
               "impls, lemmas)...\n");
-  auto Lib = buildLinkedListLib(SpecMode::TypeSafety);
+  auto Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_safety.gilr");
 
   std::printf("\n== The code under verification (RMIR) ==\n%s\n",
               rmir::functionToString(
@@ -32,7 +32,7 @@ int main() {
   std::printf("== Type safety (#[show_safety], RustBelt-style) ==\n");
   double Total = 0.0;
   bool AllOk = true;
-  for (const std::string &Name : allFunctions()) {
+  for (const auto &[Name, F] : Lib->Prog.Funcs) {
     engine::VerifyReport R = V.verifyFunction(Name);
     Total += R.Seconds;
     AllOk &= R.Ok;

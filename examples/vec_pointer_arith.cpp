@@ -6,18 +6,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 #include "rmir/Printer.h"
-#include "rustlib/Vec.h"
 
 #include <cstdio>
 #include "support/Trace.h"
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 int main() {
   gilr::trace::configureFromEnv();
-  auto Lib = buildVecLib();
+  auto Lib = frontend::loadModule(GILR_CORPUS_DIR "/vec.gilr");
 
   std::printf("== The Fig. 5 write, as RMIR ==\n%s\n",
               rmir::functionToString(*Lib->Prog.lookup("Vec::push_raw"))
@@ -26,7 +26,7 @@ int main() {
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);
   bool AllOk = true;
-  for (const std::string &Name : vecFunctions()) {
+  for (const std::string &Name : Lib->verifyFuncs()) {
     const gilsonite::Spec *S = Lib->Specs.lookup(Name);
     std::printf("== %s ==\npre:  %s\npost: %s\n", Name.c_str(),
                 S->Pre->str().c_str(), S->Post->str().c_str());

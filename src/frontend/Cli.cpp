@@ -100,7 +100,7 @@ void printDiagnostics(std::ostream &Err,
   for (const analysis::Diagnostic &D : Diags) {
     Err << D.str() << "\n";
     if (SM && !D.File.empty() && D.File == SM->name() && D.Line > 0)
-      Err << SM->caretSnippet(offsetOf(SM->text(), D.Line, D.Col));
+      Err << SM->caretSnippet(offsetOf(SM->text(), D.Line, D.Col)) << "\n";
     for (const std::string &N : D.Notes)
       Err << "  note: " << N << "\n";
   }

@@ -5,14 +5,15 @@
 /// module: types, predicates, lemmas, RMIR functions, Gilsonite specs,
 /// Pearlite contracts, safe clients, automation switches and the verify
 /// list (grammar: docs/FRONTEND.md). Parsing lowers directly into the
-/// existing in-memory representations — rmir::Program, the Gilsonite and
-/// Pearlite tables — so everything downstream of the builder APIs (static
-/// analysis, the hybrid driver, the scheduler, the incremental store) runs
-/// on a parsed module unchanged.
+/// in-memory representations — rmir::Program, the Gilsonite and Pearlite
+/// tables — that static analysis, the hybrid driver, the scheduler and the
+/// incremental store run on. Tests, benches and examples load the
+/// case-study corpus through frontend/Corpus.h.
 ///
 /// Failures are analysis::Diagnostic values with real source locations
 /// (GILR-E008 syntax, GILR-E009 unresolved name, GILR-E010 other lowering
-/// errors), rendered by the CLI as file:line:col caret diagnostics.
+/// errors, including predicates that fail the §7.2 mode check), rendered
+/// by the CLI as file:line:col caret diagnostics.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,10 +4,10 @@
 /// The in-memory result of parsing one textual RMIR module: the RMIR
 /// program with its type context, every Gilsonite table (predicates, specs,
 /// lemma declarations), the Pearlite contract table, the safe clients, the
-/// automation switches, and the verify list — i.e. everything the existing
-/// builder APIs (rustlib/*.h env() aggregates) produce, assembled from text
-/// instead of C++ code. Downstream consumers (analysis, hybrid driver,
-/// scheduler, incremental store) run on a Module unchanged.
+/// automation switches, and the verify list. This is the only form in which
+/// the case studies (examples/corpus/) enter the system; downstream
+/// consumers (analysis, hybrid driver, scheduler, incremental store) run on
+/// its tables.
 ///
 /// Lemma declarations are *parsed* into FreezeDecls/ExtractDecls but not
 /// registered at parse time: registration runs the hypothesis proofs

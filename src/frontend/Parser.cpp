@@ -7,16 +7,18 @@
 /// forward-declaring struct names so recursive types resolve regardless of
 /// declaration order; pass B parses enums, then struct fields, then function
 /// bodies (interning every local's type), then the remaining items in source
-/// order. Embedded Gilsonite S-expressions and Pearlite terms are extracted
-/// as raw substrings (Lexer::rawSexpr / rawUntilSemi) and handed to the
-/// dedicated parsers; their position-tracked failures are re-anchored at the
-/// region's offset so every diagnostic points into the .gilr file.
+/// order; finally every predicate is mode-checked (§7.2). Embedded Gilsonite
+/// S-expressions and Pearlite terms are extracted as raw substrings
+/// (Lexer::rawSexpr / rawUntilSemi) and handed to the dedicated parsers;
+/// their position-tracked failures are re-anchored at the region's offset
+/// so every diagnostic points into the .gilr file.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "creusot/PearliteParser.h"
 #include "frontend/Frontend.h"
 #include "frontend/Lexer.h"
+#include "gilsonite/ModeCheck.h"
 #include "gilsonite/Parser.h"
 #include "support/SourceMgr.h"
 
@@ -1347,6 +1349,19 @@ bool ModuleParser::run() {
       parseAutomationItem(I);
     else if (I.Kw == "verify")
       parseVerifyItem(I);
+  }
+  // §7.2: every predicate must be well-moded. Checked once the whole table
+  // is lowered, since a clause learns out-parameters of the predicates it
+  // calls.
+  std::set<std::string> ModeChecked;
+  for (const ItemRef &I : Items) {
+    const gilsonite::PredDecl *D =
+        I.Kw == "pred" ? M.Preds.lookup(I.Name) : nullptr;
+    if (!D || !ModeChecked.insert(I.Name).second)
+      continue;
+    Entity = "pred:" + I.Name;
+    for (const std::string &E : gilsonite::checkPredModes(*D, M.Preds))
+      err(I.At, FrontendError, E);
   }
   Entity.clear();
   for (const auto &[N, At] : VerifyPending) {

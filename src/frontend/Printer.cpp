@@ -110,17 +110,17 @@ std::string tyAtom(rmir::TypeRef T) { return gilsonite::quoteAtom(T->str()); }
 
 class ModulePrinter {
 public:
-  explicit ModulePrinter(const PrintInput &In) : In(In) {}
+  explicit ModulePrinter(const Module &M) : M(M) {}
 
   std::string print() {
     printTypes();
     printPreds();
     printLemmas();
-    for (const auto &[Name, F] : In.Prog.Funcs)
+    for (const auto &[Name, F] : M.Prog.Funcs)
       printFn(F);
     printSpecs();
     printContracts();
-    for (const creusot::SafeFn &C : In.Clients)
+    for (const creusot::SafeFn &C : M.Clients)
       printClient(C);
     printAutomation();
     printVerify();
@@ -128,11 +128,11 @@ public:
   }
 
 private:
-  const PrintInput &In;
+  const Module &M;
   std::ostringstream OS;
 
   void printTypes() {
-    std::vector<rmir::TypeRef> Noms = In.Prog.Types.allNominals();
+    std::vector<rmir::TypeRef> Noms = M.Prog.Types.allNominals();
     for (rmir::TypeRef T : Noms)
       if (T->Kind == rmir::TypeKind::Param)
         OS << "param " << name(T->Name) << ";\n";
@@ -164,7 +164,7 @@ private:
   }
 
   void printPreds() {
-    for (const auto &[Name, D] : In.Preds.all()) {
+    for (const auto &[Name, D] : M.Preds.all()) {
       OS << "\npred " << name(Name);
       if (D.Abstract)
         OS << " abstract";
@@ -181,10 +181,10 @@ private:
   }
 
   void printLemmas() {
-    for (const engine::FreezeLemma &L : In.Freezes)
+    for (const engine::FreezeLemma &L : M.FreezeDecls)
       OS << "\nlemma freeze " << name(L.Name) << " " << name(L.FromPred)
          << " " << name(L.ToPred) << ";\n";
-    for (const engine::ExtractLemma &L : In.Extracts) {
+    for (const engine::ExtractLemma &L : M.ExtractDecls) {
       OS << "\nlemma extract " << name(L.Name) << " {\n";
       for (const std::string &P : L.Params)
         OS << "  param " << name(P) << ";\n";
@@ -365,7 +365,7 @@ private:
   // Spec-side items ------------------------------------------------------
 
   void printSpecs() {
-    for (const auto &[Name, S] : In.Specs.all()) {
+    for (const auto &[Name, S] : M.Specs.all()) {
       OS << "\nspec " << name(Name) << " {\n";
       for (const gilsonite::Binder &B : S.SpecVars)
         OS << "  var " << name(B.Name) << " " << sortName(B.S) << ";\n";
@@ -382,7 +382,7 @@ private:
   }
 
   void printContracts() {
-    for (const auto &[Name, S] : In.Contracts.all()) {
+    for (const auto &[Name, S] : M.Contracts.all()) {
       OS << "\ncontract " << name(Name) << " {\n";
       for (const creusot::PearliteParam &P : S.Params)
         OS << "  param " << name(P.Name) << (P.IsMutRef ? " mut" : "")
@@ -432,7 +432,7 @@ private:
   }
 
   void printAutomation() {
-    const engine::Automation &A = In.Auto;
+    const engine::Automation &A = M.Auto;
     OS << "\nautomation {\n";
     OS << "  auto_unfold " << (A.AutoUnfold ? "true" : "false") << ";\n";
     OS << "  auto_borrow " << (A.AutoBorrow ? "true" : "false") << ";\n";
@@ -446,11 +446,11 @@ private:
   }
 
   void printVerify() {
-    if (In.VerifyList.empty())
+    if (M.VerifyList.empty())
       return;
     OS << "\nverify ";
-    for (std::size_t I = 0; I < In.VerifyList.size(); ++I)
-      OS << (I ? ", " : "") << name(In.VerifyList[I]);
+    for (std::size_t I = 0; I < M.VerifyList.size(); ++I)
+      OS << (I ? ", " : "") << name(M.VerifyList[I]);
     OS << ";\n";
   }
 };
@@ -684,13 +684,6 @@ std::string gilr::frontend::printPearlite(const creusot::PTermP &T) {
   return "true";
 }
 
-std::string gilr::frontend::printGilr(const PrintInput &In) {
-  return ModulePrinter(In).print();
-}
-
 std::string gilr::frontend::printModule(const Module &M) {
-  PrintInput In{M.Prog,        M.Preds,       M.Specs,
-                M.Contracts,   M.Clients,     M.FreezeDecls,
-                M.ExtractDecls, M.Auto,       M.VerifyList};
-  return printGilr(In);
+  return ModulePrinter(M).print();
 }

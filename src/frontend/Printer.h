@@ -1,11 +1,9 @@
 //===- frontend/Printer.h - Rendering a module back to .gilr text -----------===//
 ///
 /// \file
-/// The inverse of the parser: renders in-memory verification state as .gilr
-/// text that re-parses to a fingerprint-identical module (the round-trip
-/// property frontend_test checks over the whole corpus). The printer is
-/// also how the corpus is produced: tools/gilr_export.cpp builds the case
-/// studies through the builder APIs and prints them.
+/// The inverse of the parser: renders a module as .gilr text that re-parses
+/// to a fingerprint-identical module (the round-trip property frontend_test
+/// checks over the whole corpus). `gilr fmt` is built on it.
 ///
 /// Printing rules that make the round trip exact:
 ///  * exists/spec-var binders always carry their sort: `(name Sort)`.
@@ -26,25 +24,7 @@
 namespace gilr {
 namespace frontend {
 
-/// Everything the printer needs, as references: tools that build state
-/// through the builder APIs (gilr_export) can print without constructing a
-/// frontend Module.
-struct PrintInput {
-  const rmir::Program &Prog;
-  const gilsonite::PredTable &Preds;
-  const gilsonite::SpecTable &Specs;
-  const creusot::PearliteSpecTable &Contracts;
-  const std::vector<creusot::SafeFn> &Clients;
-  const std::vector<engine::FreezeLemma> &Freezes;
-  const std::vector<engine::ExtractLemma> &Extracts;
-  const engine::Automation &Auto;
-  const std::vector<std::string> &VerifyList;
-};
-
-/// Renders \p In as a complete .gilr module.
-std::string printGilr(const PrintInput &In);
-
-/// Renders a parsed module (convenience wrapper over \c printGilr).
+/// Renders \p M as a complete .gilr module.
 std::string printModule(const Module &M);
 
 /// Renders one type in .gilr surface syntax (also used by diagnostics in

@@ -1,10 +1,12 @@
 //===- rmir/Builder.h - Fluent construction of RMIR functions -------------===//
 ///
 /// \file
-/// A small builder API for authoring RMIR functions in C++, used by the
-/// case-study libraries (rustlib/) in lieu of a rustc front-end. The builder
-/// checks structural invariants eagerly (local indices, block targets) so
-/// malformed IR fails at construction time rather than mid-proof.
+/// A small builder API for authoring RMIR functions in C++, used by unit
+/// tests, generated bench workloads and the quickstart examples. The case
+/// studies themselves are .gilr text (examples/corpus/, frontend/). The
+/// builder checks structural invariants eagerly (local indices, block
+/// targets) so malformed IR fails at construction time rather than
+/// mid-proof.
 ///
 //===----------------------------------------------------------------------===//
 

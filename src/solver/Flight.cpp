@@ -17,7 +17,6 @@ using namespace gilr;
 using namespace gilr::flight;
 
 std::atomic<uint8_t> flight::detail::Flags{0xFF};
-thread_local unsigned flight::detail::PauseDepth = 0;
 
 namespace {
 

@@ -58,8 +58,11 @@ namespace detail {
 /// enabled-check initialises from the environment).
 extern std::atomic<uint8_t> Flags;
 uint8_t initFromEnvSlow();
-/// Depth of Pause scopes on this thread.
-extern thread_local unsigned PauseDepth;
+/// Depth of Pause scopes on this thread. Defined inline with a constant
+/// initializer so every use is a direct TLS access: through the
+/// extern-declaration TLS wrapper, GCC 12's -fsanitize=undefined reports a
+/// spurious null load here.
+inline thread_local unsigned PauseDepth = 0;
 
 inline uint8_t flags() {
   uint8_t F = Flags.load(std::memory_order_relaxed);

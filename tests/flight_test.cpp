@@ -10,9 +10,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "frontend/Corpus.h"
+#include "hybrid/Driver.h"
 #include "incr/Session.h"
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
 #include "sched/Scheduler.h"
 #include "solver/Flight.h"
 #include "solver/Journal.h"
@@ -30,7 +30,6 @@
 #include <unistd.h>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
@@ -379,16 +378,17 @@ TEST(OutputFiles, JournalFlushHonoursPidPlaceholderAndCreatesDirs) {
 class FlightE2ETest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildLinkedListLib(SpecMode::Functional).release();
+    Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr")
+              .release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static LinkedListLib *Lib;
+  static frontend::Module *Lib;
 };
 
-LinkedListLib *FlightE2ETest::Lib = nullptr;
+frontend::Module *FlightE2ETest::Lib = nullptr;
 
 /// Blanks the fields that legitimately differ between runs of the same
 /// input: wall-clock durations and cache-hit markers (which query hits the
@@ -420,8 +420,8 @@ std::string stripNondeterministicFields(const std::string &Journal) {
 
 TEST_F(FlightE2ETest, FourWorkerJournalIsDeterministicAndReplaysSerially) {
   FlightOff Off;
-  std::vector<std::string> Funcs = functionalFunctions();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<std::string> Funcs = Lib->verifyFuncs();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
 
   flight::Options O;
   O.Journal = true;
@@ -474,8 +474,8 @@ TEST_F(FlightE2ETest, WarmIncrementalRunJournalsCachedMarkers) {
   Inc.Enabled = true;
   Inc.StorePath = Path;
   sched::SchedulerConfig C;
-  std::vector<std::string> Funcs = functionalFunctions();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<std::string> Funcs = Lib->verifyFuncs();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
 
   flight::Options O;
   O.Journal = true;

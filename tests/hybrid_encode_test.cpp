@@ -1,26 +1,28 @@
 //===- tests/hybrid_encode_test.cpp - The §5.4 encoding schema --------------===//
 
+#include "frontend/Corpus.h"
+#include "hybrid/Driver.h"
 #include "hybrid/Encode.h"
-#include "rustlib/LinkedList.h"
 
 #include <gtest/gtest.h>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 using namespace gilr::gilsonite;
 
 namespace {
 
+const char *const SafetyModule = GILR_CORPUS_DIR "/linkedlist_safety.gilr";
+
 class EncodeTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildLinkedListLib(SpecMode::TypeSafety).release();
+    Lib = frontend::loadModule(SafetyModule).release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static LinkedListLib *Lib;
+  static frontend::Module *Lib;
 
   Outcome<Spec> encode(const std::string &Name) {
     return hybrid::encodePearliteSpec(*Lib->Contracts.lookup(Name),
@@ -29,7 +31,7 @@ protected:
   }
 };
 
-LinkedListLib *EncodeTest::Lib = nullptr;
+frontend::Module *EncodeTest::Lib = nullptr;
 
 TEST_F(EncodeTest, SchemaShapeForPopFront) {
   // §5.4: { [κ]_q * own(self, m_self, κ) * <P> } f { ∃m_ret.
@@ -86,7 +88,7 @@ TEST_F(EncodeTest, ArityMismatchIsRejected) {
 }
 
 TEST_F(EncodeTest, DriverReplacesRegisteredSpec) {
-  auto Lib2 = buildLinkedListLib(SpecMode::TypeSafety);
+  auto Lib2 = frontend::loadModule(SafetyModule);
   engine::VerifEnv Env = Lib2->env();
   hybrid::HybridDriver Driver(Env, Lib2->Contracts);
   const Spec *Before = Lib2->Specs.lookup("LinkedList::pop_front_node");

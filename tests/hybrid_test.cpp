@@ -7,35 +7,36 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
+#include "frontend/Corpus.h"
+#include "hybrid/Driver.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
 class HybridTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildLinkedListLib(SpecMode::Functional).release();
+    Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr",
+                               frontend::chainClientText(6))
+              .release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static LinkedListLib *Lib;
+  static frontend::Module *Lib;
 };
 
-LinkedListLib *HybridTest::Lib = nullptr;
+frontend::Module *HybridTest::Lib = nullptr;
 
 TEST_F(HybridTest, SafeClientsVerify) {
   creusot::SafeVerifier SV(Lib->Contracts, Lib->Solv);
-  for (const creusot::SafeFn &Client : makeClients()) {
+  for (const creusot::SafeFn &Client : Lib->verifyClients()) {
     creusot::SafeReport R = SV.verify(Client);
     EXPECT_TRUE(R.Ok) << Client.Name << ": "
                       << (R.Errors.empty() ? "" : R.Errors.front());
@@ -46,8 +47,10 @@ TEST_F(HybridTest, SafeClientsVerify) {
 TEST_F(HybridTest, MissingPreconditionFailsOnSafeSide) {
   // Pushing onto a list of unknown length cannot discharge the
   // len < usize::MAX precondition: the Creusot side must reject it.
-  creusot::SafeVerifier SV(Lib->Contracts, Lib->Solv);
-  creusot::SafeReport R = SV.verify(makeBadClient());
+  auto Bad = frontend::loadModule(GILR_CORPUS_DIR "/clients_bad.gilr");
+  creusot::SafeVerifier SV(Bad->Contracts, Bad->Solv);
+  creusot::SafeReport R =
+      SV.verify(*Bad->lookupClient("client_overflow_guard"));
   EXPECT_FALSE(R.Ok);
   ASSERT_FALSE(R.Errors.empty());
   EXPECT_NE(R.Errors.front().find("pre of"), std::string::npos);
@@ -56,7 +59,8 @@ TEST_F(HybridTest, MissingPreconditionFailsOnSafeSide) {
 TEST_F(HybridTest, FullHybridRun) {
   engine::VerifEnv Env = Lib->env();
   hybrid::HybridDriver Driver(Env, Lib->Contracts);
-  hybrid::HybridReport R = Driver.run(functionalFunctions(), makeClients());
+  hybrid::HybridReport R =
+      Driver.run(Lib->verifyFuncs(), Lib->verifyClients());
   for (const engine::VerifyReport &U : R.UnsafeSide)
     EXPECT_TRUE(U.Ok) << U.Func << ": "
                       << (U.Errors.empty() ? "" : U.Errors.front());
@@ -67,7 +71,7 @@ TEST_F(HybridTest, FullHybridRun) {
 
 TEST_F(HybridTest, ChainClientScales) {
   creusot::SafeVerifier SV(Lib->Contracts, Lib->Solv);
-  creusot::SafeReport R = SV.verify(makeChainClient(6));
+  creusot::SafeReport R = SV.verify(*Lib->lookupClient("client_chain_6"));
   EXPECT_TRUE(R.Ok) << (R.Errors.empty() ? "" : R.Errors.front());
   // 6 pushes with preconditions + 6 asserted pops.
   EXPECT_GE(R.Obligations.size(), 12u);

@@ -17,12 +17,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "creusot/Pearlite.h"
+#include "frontend/Corpus.h"
+#include "hybrid/Driver.h"
 #include "incr/Fingerprint.h"
 #include "incr/ProofStore.h"
 #include "incr/Session.h"
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
-#include "rustlib/Vec.h"
 #include "sched/Scheduler.h"
 #include "support/Trace.h"
 #include "sym/ExprBuilder.h"
@@ -34,7 +33,6 @@
 #include <fstream>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
@@ -58,27 +56,30 @@ std::string readFileBytes(const std::string &Path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The functional set plus front_mut — the one function whose proof applies
-/// lemmas, so lemma-edit invalidation has a dependent to find.
-std::vector<std::string> unsafeFuncs() {
-  std::vector<std::string> F = functionalFunctions();
-  F.push_back("LinkedList::front_mut");
-  return F;
-}
+const char *const FunctionalModule =
+    GILR_CORPUS_DIR "/linkedlist_functional.gilr";
 
 class IncrTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildLinkedListLib(SpecMode::Functional).release();
+    Lib = frontend::loadModule(FunctionalModule).release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static LinkedListLib *Lib;
+  static frontend::Module *Lib;
+
+  /// The functional set plus front_mut — the one function whose proof
+  /// applies lemmas, so lemma-edit invalidation has a dependent to find.
+  static std::vector<std::string> unsafeFuncs() {
+    std::vector<std::string> F = Lib->verifyFuncs();
+    F.push_back("LinkedList::front_mut");
+    return F;
+  }
 };
 
-LinkedListLib *IncrTest::Lib = nullptr;
+frontend::Module *IncrTest::Lib = nullptr;
 
 //===----------------------------------------------------------------------===//
 // Fingerprints
@@ -100,13 +101,11 @@ TEST_F(IncrTest, FingerprintsAreStableAcrossRebuilds) {
   // A second, independently interned universe (fresh intern ids throughout)
   // must produce identical fingerprints for identical entities — the
   // process-stability requirement of the on-disk store.
-  auto Lib2 = buildLinkedListLib(SpecMode::Functional);
-  for (const std::string &Name : allFunctions()) {
-    const rmir::Function *F1 = Lib->Prog.lookup(Name);
+  auto Lib2 = frontend::loadModule(FunctionalModule);
+  for (const auto &[Name, F1] : Lib->Prog.Funcs) {
     const rmir::Function *F2 = Lib2->Prog.lookup(Name);
-    ASSERT_NE(F1, nullptr) << Name;
     ASSERT_NE(F2, nullptr) << Name;
-    EXPECT_EQ(incr::fpFunction(*F1), incr::fpFunction(*F2)) << Name;
+    EXPECT_EQ(incr::fpFunction(F1), incr::fpFunction(*F2)) << Name;
   }
   for (const auto &[Name, Spec] : Lib->Contracts.all()) {
     const creusot::PearliteSpec *S2 = Lib2->Contracts.lookup(Name);
@@ -407,7 +406,7 @@ TEST_F(IncrTest, WarmRunReplaysEverythingWithZeroSolverWork) {
   Inc.StorePath = Path;
   sched::SchedulerConfig C;
   std::vector<std::string> Funcs = unsafeFuncs();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
   std::size_t Total = Funcs.size() + Clients.size();
 
   incr::IncrRunStats S1;
@@ -449,7 +448,7 @@ TEST_F(IncrTest, WarmRunIsWorkerCountIndependent) {
   Inc.Enabled = true;
   Inc.StorePath = Path;
   std::vector<std::string> Funcs = unsafeFuncs();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
 
   sched::SchedulerConfig Serial;
   engine::VerifEnv E1 = Lib->env();
@@ -484,7 +483,8 @@ TEST_F(IncrTest, CorruptStoreDegradesToColdRunWithoutError) {
   incr::IncrRunStats S;
   engine::VerifEnv E = Lib->env();
   hybrid::HybridDriver D(E, Lib->Contracts);
-  hybrid::HybridReport R = D.run(unsafeFuncs(), makeClients(), C, Inc, &S);
+  hybrid::HybridReport R =
+      D.run(unsafeFuncs(), Lib->verifyClients(), C, Inc, &S);
   ASSERT_TRUE(R.ok());
   EXPECT_EQ(S.cached(), 0u);
 
@@ -492,7 +492,8 @@ TEST_F(IncrTest, CorruptStoreDegradesToColdRunWithoutError) {
   incr::IncrRunStats S2;
   engine::VerifEnv E2 = Lib->env();
   hybrid::HybridDriver D2(E2, Lib->Contracts);
-  hybrid::HybridReport R2 = D2.run(unsafeFuncs(), makeClients(), C, Inc, &S2);
+  hybrid::HybridReport R2 =
+      D2.run(unsafeFuncs(), Lib->verifyClients(), C, Inc, &S2);
   ASSERT_TRUE(R2.ok());
   EXPECT_EQ(S2.verified(), 0u);
 }
@@ -505,7 +506,7 @@ TEST_F(IncrTest, ReadOnlyModeNeverWritesTheStore) {
   sched::SchedulerConfig C;
   engine::VerifEnv E1 = Lib->env();
   hybrid::HybridDriver D1(E1, Lib->Contracts);
-  ASSERT_TRUE(D1.run(unsafeFuncs(), makeClients(), C, Inc).ok());
+  ASSERT_TRUE(D1.run(unsafeFuncs(), Lib->verifyClients(), C, Inc).ok());
 
   std::string Before = readFileBytes(Path);
   ASSERT_FALSE(Before.empty());
@@ -515,8 +516,8 @@ TEST_F(IncrTest, ReadOnlyModeNeverWritesTheStore) {
   incr::IncrRunStats S;
   engine::VerifEnv E2 = Lib->env();
   hybrid::HybridDriver D2(E2, Lib->Contracts);
-  ASSERT_TRUE(D2.run(unsafeFuncs(), makeClients(), C, RO, &S).ok());
-  EXPECT_EQ(S.cached(), unsafeFuncs().size() + makeClients().size());
+  ASSERT_TRUE(D2.run(unsafeFuncs(), Lib->verifyClients(), C, RO, &S).ok());
+  EXPECT_EQ(S.cached(), unsafeFuncs().size() + Lib->verifyClients().size());
   EXPECT_EQ(readFileBytes(Path), Before);
 }
 
@@ -535,7 +536,8 @@ TEST_F(IncrTest, DependencyGraphAttributesLemmasToFrontMut) {
   engine::VerifEnv Env = Lib->env();
   incr::Session Sess(Inc, Env, &Lib->Contracts);
   hybrid::HybridReport R =
-      S.runHybrid(Env, Lib->Contracts, unsafeFuncs(), makeClients(), &Sess);
+      S.runHybrid(Env, Lib->Contracts, unsafeFuncs(), Lib->verifyClients(),
+                  &Sess);
   ASSERT_TRUE(R.ok());
 
   // front_mut is the only function whose proof applies the lemmas.
@@ -568,7 +570,7 @@ TEST_F(IncrTest, LemmaEditReverifiesExactlyItsDependents) {
   Inc.SemanticSalvage = false;
   sched::SchedulerConfig C;
   std::vector<std::string> Funcs = unsafeFuncs();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
 
   engine::VerifEnv E1 = Lib->env();
   hybrid::HybridDriver D1(E1, Lib->Contracts);
@@ -608,7 +610,7 @@ TEST_F(IncrTest, LemmaEditSalvagesThroughImplication) {
   Inc.StorePath = Path;
   sched::SchedulerConfig C;
   std::vector<std::string> Funcs = unsafeFuncs();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
   std::size_t Total = Funcs.size() + Clients.size();
 
   engine::VerifEnv E1 = Lib->env();
@@ -663,7 +665,7 @@ TEST_F(IncrTest, SalvagedWarmRunIsWorkerCountIndependent) {
   Inc.Enabled = true;
   Inc.StorePath = Path;
   std::vector<std::string> Funcs = unsafeFuncs();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
 
   sched::SchedulerConfig Serial;
   engine::VerifEnv E1 = Lib->env();
@@ -714,7 +716,7 @@ TEST_F(IncrTest, ContractDocEditSalvagesWithZeroSolverWork) {
   sched::SchedulerConfig SC;
   SC.StableCacheKeys = true;
   std::vector<std::string> Funcs = unsafeFuncs();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
 
   engine::VerifEnv E1 = Lib->env();
   incr::Session Cold(Inc, E1, &Lib->Contracts);
@@ -778,7 +780,7 @@ TEST_F(IncrTest, ContractClauseEditReverifiesExactlyItsDependents) {
   sched::SchedulerConfig SC;
   SC.StableCacheKeys = true;
   std::vector<std::string> Funcs = unsafeFuncs();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
 
   engine::VerifEnv E1 = Lib->env();
   incr::Session Cold(Inc, E1, &Lib->Contracts);
@@ -838,8 +840,9 @@ TEST_F(IncrTest, ContractClauseEditReverifiesExactlyItsDependents) {
 /// mutate the spec table in place), lints off so the runs measure proof
 /// obligations only.
 struct VecEditRun {
-  std::unique_ptr<VecLib> VL = buildVecLib();
-  std::vector<std::string> Funcs = vecFunctions();
+  std::unique_ptr<frontend::Module> VL =
+      frontend::loadModule(GILR_CORPUS_DIR "/vec.gilr");
+  std::vector<std::string> Funcs = VL->verifyFuncs();
   incr::IncrConfig Inc;
   sched::SchedulerConfig C;
 
@@ -971,8 +974,9 @@ TEST_F(IncrTest, TelemetryReportsPerShardCacheHitRates) {
   C.Threads = 2;
   sched::Scheduler S(C);
   engine::VerifEnv Env = Lib->env();
-  ASSERT_TRUE(
-      S.runHybrid(Env, Lib->Contracts, unsafeFuncs(), makeClients()).ok());
+  ASSERT_TRUE(S.runHybrid(Env, Lib->Contracts, unsafeFuncs(),
+                          Lib->verifyClients())
+                  .ok());
 
   metrics::QueryCacheReport QC = metrics::Registry::get().queryCacheReport();
   ASSERT_TRUE(QC.Valid);

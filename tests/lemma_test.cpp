@@ -9,8 +9,8 @@
 
 #include "engine/Lemma.h"
 #include "engine/Produce.h"
+#include "frontend/Corpus.h"
 #include "sym/ExprBuilder.h"
-#include "rustlib/LinkedList.h"
 
 #include <gtest/gtest.h>
 
@@ -23,21 +23,21 @@ namespace {
 class LemmaTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    Lib = rustlib::buildLinkedListLib(rustlib::SpecMode::TypeSafety)
+    Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_safety.gilr")
               .release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static rustlib::LinkedListLib *Lib;
+  static frontend::Module *Lib;
 };
 
-rustlib::LinkedListLib *LemmaTest::Lib = nullptr;
+frontend::Module *LemmaTest::Lib = nullptr;
 
 TEST_F(LemmaTest, FrontMutLemmasWereProvenAtBuild) {
-  // buildLinkedListLib registers ll_freeze_list and ll_extract_head; their
-  // hypothesis proofs ran automatically (a failure aborts the build).
+  // Loading linkedlist_safety registers ll_freeze_list and ll_extract_head;
+  // their hypothesis proofs ran automatically (a failure aborts the load).
   EXPECT_TRUE(Lib->Lemmas.contains("ll_freeze_list"));
   EXPECT_TRUE(Lib->Lemmas.contains("ll_extract_head"));
 }
@@ -65,7 +65,8 @@ TEST_F(LemmaTest, FreezeWithNonEntailingBodyIsRejected) {
 
   FreezeLemma L;
   L.Name = "bad_freeze";
-  L.FromPred = OwnableRegistry::mutRefInnerName(Lib->LLTy);
+  L.FromPred = OwnableRegistry::mutRefInnerName(
+      Lib->Prog.Types.lookup("LinkedList<T>"));
   L.ToPred = "frozen$broken";
   Outcome<Unit> R = Lib->Lemmas.registerFreeze(L, Env);
   EXPECT_TRUE(R.failed());
@@ -86,7 +87,8 @@ TEST_F(LemmaTest, ExtractionOfUnrelatedMemoryIsRejected) {
                 mkVar("v", Sort::Tuple)};
   // No Requires linking r's pointer to the list's content: the extracted
   // pointer is arbitrary memory.
-  L.ToPred = OwnableRegistry::mutRefInnerName(Lib->T);
+  L.ToPred =
+      OwnableRegistry::mutRefInnerName(Lib->Prog.Types.lookup("T"));
   L.ToArgs = {mkTupleGet(mkVar("r", Sort::Tuple), 0),
               mkTupleGet(mkVar("r", Sort::Tuple), 1)};
   L.NewProphecyHole = "r";

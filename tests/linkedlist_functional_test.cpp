@@ -7,25 +7,28 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/LinkedList.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 
 #include <gtest/gtest.h>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
+
+const char *const FunctionalModule =
+    GILR_CORPUS_DIR "/linkedlist_functional.gilr";
 
 class FunctionalTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildLinkedListLib(SpecMode::Functional).release();
+    Lib = frontend::loadModule(FunctionalModule).release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static LinkedListLib *Lib;
+  static frontend::Module *Lib;
 
   engine::VerifyReport verify(const std::string &Name) {
     engine::VerifEnv Env = Lib->env();
@@ -34,7 +37,7 @@ protected:
   }
 };
 
-LinkedListLib *FunctionalTest::Lib = nullptr;
+frontend::Module *FunctionalTest::Lib = nullptr;
 
 TEST_F(FunctionalTest, EncodedSpecsRegistered) {
   ASSERT_NE(Lib, nullptr);
@@ -78,7 +81,7 @@ TEST_F(FunctionalTest, WholeE2SuiteVerifies) {
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);
   double Total = 0.0;
-  for (const std::string &Name : functionalFunctions()) {
+  for (const std::string &Name : Lib->verifyFuncs()) {
     engine::VerifyReport R = V.verifyFunction(Name);
     EXPECT_TRUE(R.Ok) << Name << ": "
                       << (R.Errors.empty() ? "" : R.Errors.front());
@@ -92,7 +95,7 @@ TEST_F(FunctionalTest, ObsExtractionLimitationReproduced) {
   // condition, the encoded push_front_node precondition (len < usize::MAX)
   // is invisible and the overflow obligation fails — the paper's reported
   // limitation. Our extension (ObsExtraction) is what makes E2 pass above.
-  auto Lib2 = buildLinkedListLib(SpecMode::Functional);
+  auto Lib2 = frontend::loadModule(FunctionalModule);
   Lib2->Auto.ObsExtraction = false;
   engine::VerifEnv Env = Lib2->env();
   engine::Verifier V(Env);
@@ -113,7 +116,7 @@ TEST(FunctionalExtensionTest, FrontMutPartialFunctionalSpec) {
   // implemented, and verifies the partial contract of StdSpecs.cpp:
   // None iff the list is empty (with both current and final models empty),
   // Some implies non-empty.
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib = frontend::loadModule(FunctionalModule);
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);
   engine::VerifyReport R = V.verifyFunction("LinkedList::front_mut");

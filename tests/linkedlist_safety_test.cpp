@@ -6,25 +6,27 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/LinkedList.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 
 #include <gtest/gtest.h>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
+
+const char *const SafetyModule = GILR_CORPUS_DIR "/linkedlist_safety.gilr";
 
 class SafetyTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildLinkedListLib(SpecMode::TypeSafety).release();
+    Lib = frontend::loadModule(SafetyModule).release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static LinkedListLib *Lib;
+  static frontend::Module *Lib;
 
   engine::VerifyReport verify(const std::string &Name) {
     engine::VerifEnv Env = Lib->env();
@@ -33,7 +35,7 @@ protected:
   }
 };
 
-LinkedListLib *SafetyTest::Lib = nullptr;
+frontend::Module *SafetyTest::Lib = nullptr;
 
 TEST_F(SafetyTest, LibraryBuilds) {
   ASSERT_NE(Lib, nullptr);
@@ -109,7 +111,7 @@ TEST_F(SafetyTest, WholeE1SuiteVerifies) {
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);
   double Total = 0.0;
-  for (const std::string &Name : typeSafetyFunctions()) {
+  for (const std::string &Name : Lib->verifyFuncs()) {
     engine::VerifyReport R = V.verifyFunction(Name);
     EXPECT_TRUE(R.Ok) << Name << ": "
                       << (R.Errors.empty() ? "" : R.Errors.front());
@@ -125,7 +127,7 @@ TEST_F(SafetyTest, AblationAutoCloseMatters) {
   // replace_front — the one function without a mutref_auto_resolve! tactic
   // line — fails at return with an open borrow, while front_mut (whose
   // resolve ghost closes explicitly) still verifies.
-  auto Lib2 = buildLinkedListLib(SpecMode::TypeSafety);
+  auto Lib2 = frontend::loadModule(SafetyModule);
   Lib2->Auto.AutoCloseAtReturn = false;
   engine::VerifEnv Env = Lib2->env();
   engine::Verifier V(Env);
@@ -144,17 +146,17 @@ namespace {
 class BuggyVariantTest : public ::testing::TestWithParam<std::string> {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildLinkedListLib(SpecMode::TypeSafety).release();
-    registerBuggyVariants(*Lib);
+    Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_buggy.gilr")
+              .release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static LinkedListLib *Lib;
+  static frontend::Module *Lib;
 };
 
-LinkedListLib *BuggyVariantTest::Lib = nullptr;
+frontend::Module *BuggyVariantTest::Lib = nullptr;
 
 TEST_P(BuggyVariantTest, VerificationRejectsTheBug) {
   engine::VerifEnv Env = Lib->env();

@@ -11,9 +11,9 @@
 #include "creusot/PearliteParser.h"
 #include "creusot/SafeVerifier.h"
 #include "creusot/StdSpecs.h"
+#include "frontend/Corpus.h"
+#include "hybrid/Driver.h"
 #include "rmir/Type.h"
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
 #include "sym/ExprBuilder.h"
 #include "sym/Printer.h"
 
@@ -319,8 +319,6 @@ TEST_F(DocEquivalenceTest, IsEmptyContract) {
 
 namespace textpipe {
 
-using namespace gilr::rustlib;
-
 class TextTableTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TextTableTest, LowersSameAsProgrammaticTable) {
@@ -368,7 +366,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TextPipelineTest, TextContractDrivesGillianSide) {
   // Swap the text-built table in and re-encode push_front_node's spec from
   // it: the unsafe side must still verify the implementation against it.
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib =
+      frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr");
   Lib->Contracts = makeLinkedListSpecsFromText();
   engine::VerifEnv Env = Lib->env();
   gilr::hybrid::HybridDriver Driver(Env, Lib->Contracts);
@@ -381,10 +380,11 @@ TEST(TextPipelineTest, TextContractDrivesGillianSide) {
 
 TEST(TextPipelineTest, TextContractDrivesCreusotSide) {
   // The safe clients verify against the text-parsed contracts alone.
-  auto Lib = buildLinkedListLib(SpecMode::Functional);
+  auto Lib =
+      frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr");
   PearliteSpecTable Text = makeLinkedListSpecsFromText();
   creusot::SafeVerifier SV(Text, Lib->Solv);
-  for (const creusot::SafeFn &F : makeClients()) {
+  for (const creusot::SafeFn &F : Lib->verifyClients()) {
     creusot::SafeReport R = SV.verify(F);
     EXPECT_TRUE(R.Ok) << F.Name << ": "
                       << (R.Errors.empty() ? "" : R.Errors.front());

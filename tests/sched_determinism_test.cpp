@@ -8,14 +8,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
+#include "frontend/Corpus.h"
+#include "hybrid/Driver.h"
 #include "sched/Scheduler.h"
 
 #include <gtest/gtest.h>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
@@ -39,20 +38,21 @@ std::string stripTimings(std::string S) {
 class SchedDeterminismTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildLinkedListLib(SpecMode::Functional).release();
+    Lib = frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr")
+              .release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static LinkedListLib *Lib;
+  static frontend::Module *Lib;
 };
 
-LinkedListLib *SchedDeterminismTest::Lib = nullptr;
+frontend::Module *SchedDeterminismTest::Lib = nullptr;
 
 TEST_F(SchedDeterminismTest, FourWorkersMatchSerialByteForByte) {
-  std::vector<std::string> Funcs = functionalFunctions();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<std::string> Funcs = Lib->verifyFuncs();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
 
   // The pre-scheduler serial path: no cache, no pool.
   engine::VerifEnv LegacyEnv = Lib->env();
@@ -85,8 +85,8 @@ TEST_F(SchedDeterminismTest, FourWorkersMatchSerialByteForByte) {
 }
 
 TEST_F(SchedDeterminismTest, ParallelRunIsRepeatable) {
-  std::vector<std::string> Funcs = functionalFunctions();
-  std::vector<creusot::SafeFn> Clients = makeClients();
+  std::vector<std::string> Funcs = Lib->verifyFuncs();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
   sched::SchedulerConfig Par;
   Par.Threads = 4;
 
@@ -111,7 +111,8 @@ TEST_F(SchedDeterminismTest, SharedCacheObservesHits) {
   sched::Scheduler S(C);
   engine::VerifEnv Env = Lib->env();
   hybrid::HybridReport R =
-      S.runHybrid(Env, Lib->Contracts, functionalFunctions(), makeClients());
+      S.runHybrid(Env, Lib->Contracts, Lib->verifyFuncs(),
+                  Lib->verifyClients());
   EXPECT_TRUE(R.ok());
   sched::CacheStatsSnapshot Stats = S.cacheStats();
   EXPECT_GT(Stats.Hits, 0u);
@@ -126,12 +127,12 @@ TEST_F(SchedDeterminismTest, CacheDisabledStillProves) {
   engine::VerifEnv Env = Lib->env();
   hybrid::HybridDriver Driver(Env, Lib->Contracts);
   hybrid::HybridReport R =
-      Driver.run(functionalFunctions(), makeClients(), C);
+      Driver.run(Lib->verifyFuncs(), Lib->verifyClients(), C);
   EXPECT_TRUE(R.ok());
 }
 
 TEST_F(SchedDeterminismTest, VerifyAllSchedulerPathMatchesSerial) {
-  std::vector<std::string> Funcs = functionalFunctions();
+  std::vector<std::string> Funcs = Lib->verifyFuncs();
 
   engine::VerifEnv Env1 = Lib->env();
   engine::Verifier V1(Env1);

@@ -7,28 +7,29 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rustlib/Stack.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 
 #include <gtest/gtest.h>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
 class StackSafetyTest : public ::testing::TestWithParam<std::string> {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildStackLib(StackSpecMode::TypeSafety).release();
+    Lib = frontend::loadModule(GILR_CORPUS_DIR "/stack_safety.gilr")
+              .release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static StackLib *Lib;
+  static frontend::Module *Lib;
 };
 
-StackLib *StackSafetyTest::Lib = nullptr;
+frontend::Module *StackSafetyTest::Lib = nullptr;
 
 TEST_P(StackSafetyTest, VerifiesTypeSafety) {
   engine::VerifEnv Env = Lib->env();
@@ -50,13 +51,14 @@ INSTANTIATE_TEST_SUITE_P(
 class StackFunctionalTest : public ::testing::Test {
 protected:
   static void SetUpTestSuite() {
-    Lib = buildStackLib(StackSpecMode::Functional).release();
+    Lib = frontend::loadModule(GILR_CORPUS_DIR "/stack_functional.gilr")
+              .release();
   }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static StackLib *Lib;
+  static frontend::Module *Lib;
 
   engine::VerifyReport verify(const std::string &Name) {
     engine::VerifEnv Env = Lib->env();
@@ -65,7 +67,7 @@ protected:
   }
 };
 
-StackLib *StackFunctionalTest::Lib = nullptr;
+frontend::Module *StackFunctionalTest::Lib = nullptr;
 
 TEST_F(StackFunctionalTest, New) {
   engine::VerifyReport R = verify("Stack::new");

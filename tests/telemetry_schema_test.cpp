@@ -12,10 +12,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "frontend/Corpus.h"
 #include "hybrid/Driver.h"
 #include "incr/Session.h"
-#include "rustlib/Clients.h"
-#include "rustlib/LinkedList.h"
 #include "sched/Scheduler.h"
 #include "solver/Flight.h"
 #include "support/Json.h"
@@ -27,7 +26,6 @@
 #include <cstdio>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
@@ -42,8 +40,8 @@ TEST(TelemetrySchema, TopLevelKeysAreExactlyTheDocumentedSet) {
   FO.Timing = true;
   flight::configure(FO);
 
-  std::unique_ptr<LinkedListLib> Lib =
-      buildLinkedListLib(SpecMode::Functional);
+  std::unique_ptr<frontend::Module> Lib =
+      frontend::loadModule(GILR_CORPUS_DIR "/linkedlist_functional.gilr");
   engine::VerifEnv Env = Lib->env();
   hybrid::HybridDriver Driver(Env, Lib->Contracts);
   sched::SchedulerConfig C;
@@ -51,7 +49,8 @@ TEST(TelemetrySchema, TopLevelKeysAreExactlyTheDocumentedSet) {
   IC.Enabled = true;
   IC.StorePath = ::testing::TempDir() + "gilr_telemetry_schema.prf";
   std::remove(IC.StorePath.c_str());
-  ASSERT_TRUE(Driver.run(functionalFunctions(), makeClients(), C, IC).ok());
+  ASSERT_TRUE(
+      Driver.run(Lib->verifyFuncs(), Lib->verifyClients(), C, IC).ok());
   flight::reset();
   std::remove(IC.StorePath.c_str());
 

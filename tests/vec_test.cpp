@@ -1,22 +1,26 @@
 //===- tests/vec_test.cpp - Laid-out node case study (Fig. 5) ---------------===//
 
-#include "rustlib/Vec.h"
+#include "engine/Verifier.h"
+#include "frontend/Corpus.h"
 
 #include <gtest/gtest.h>
 
 using namespace gilr;
-using namespace gilr::rustlib;
 
 namespace {
 
+const char *const VecModule = GILR_CORPUS_DIR "/vec.gilr";
+
 class VecTest : public ::testing::Test {
 protected:
-  static void SetUpTestSuite() { Lib = buildVecLib().release(); }
+  static void SetUpTestSuite() {
+    Lib = frontend::loadModule(VecModule).release();
+  }
   static void TearDownTestSuite() {
     delete Lib;
     Lib = nullptr;
   }
-  static VecLib *Lib;
+  static frontend::Module *Lib;
 
   engine::VerifyReport verify(const std::string &Name) {
     engine::VerifEnv Env = Lib->env();
@@ -25,7 +29,7 @@ protected:
   }
 };
 
-VecLib *VecTest::Lib = nullptr;
+frontend::Module *VecTest::Lib = nullptr;
 
 TEST_F(VecTest, PushRaw) {
   // Fig. 5 end-to-end: write at offset len into the uninitialised range,
@@ -48,7 +52,7 @@ TEST_F(VecTest, AllVerifyQuickly) {
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);
   double Total = 0.0;
-  for (const std::string &Name : vecFunctions()) {
+  for (const std::string &Name : Lib->verifyFuncs()) {
     engine::VerifyReport R = V.verifyFunction(Name);
     EXPECT_TRUE(R.Ok) << Name;
     Total += R.Seconds;
@@ -61,7 +65,7 @@ TEST_F(VecTest, AllVerifyQuickly) {
 namespace {
 
 TEST(VecMoveTest, PopRawDeinitialisesTheSlot) {
-  auto Lib = buildVecLib();
+  auto Lib = frontend::loadModule(VecModule);
   engine::VerifEnv Env = Lib->env();
   engine::Verifier V(Env);
   engine::VerifyReport R = V.verifyFunction("Vec::pop_raw");
