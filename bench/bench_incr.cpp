@@ -8,7 +8,9 @@
 //     or lemma edit, measured twice — with semantic salvage (implication
 //     queries keep the cached verdicts) and with blanket invalidation
 //     (every dependent re-proves) — and their ratio, the salvage payoff;
-//   * proof-store overhead: load and flush wall time, and the file size.
+//   * proof-store overhead: the wall time of opening a session on the warm
+//     store (reading its solver-entry record) and of a warm run's
+//     write-back, and the record bytes in the store directory.
 //
 // A warm run must re-prove zero obligations, a salvage run must re-prove
 // zero and salvage all dependents, and the generated multi-module suite
@@ -22,7 +24,6 @@
 
 #include "frontend/Corpus.h"
 #include "hybrid/Driver.h"
-#include "incr/ProofStore.h"
 #include "incr/Session.h"
 #include "rmir/Builder.h"
 #include "sched/Scheduler.h"
@@ -32,12 +33,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
 
 using namespace gilr;
+
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -117,29 +120,34 @@ TimedRun best(const std::function<void()> &Reset,
   return Best;
 }
 
-/// Store load / flush overhead, measured on the store the suite produced.
-void measureStoreOverhead(SuiteResult &Suite, const std::string &Path) {
+/// Store overhead, measured on the warm store the suite produced: opening
+/// a session (load) and a fully warm run's write-back (flush), which must
+/// leave every record as it was; plus the bytes of all record files.
+void measureStoreOverhead(SuiteResult &Suite, const incr::IncrConfig &Inc,
+                          const std::function<engine::VerifEnv()> &MakeEnv,
+                          const creusot::PearliteSpecTable *Contracts) {
   for (int Rep = 0; Rep != Repetitions; ++Rep) {
-    incr::ProofStore P(Path);
+    engine::VerifEnv Env = MakeEnv();
     double Start = now();
-    bool Loaded = P.load();
+    incr::Session Sess(Inc, Env, Contracts);
+    std::vector<SavedQueryVerdict> Entries = Sess.solverEntriesToLoad();
     double Load = now() - Start;
     Start = now();
-    bool Flushed = Loaded && P.flush();
+    Sess.saveSolverEntries(std::move(Entries));
+    bool Flushed = Sess.flush();
     double Flush = now() - Start;
-    if (!Loaded || !Flushed)
+    if (!Flushed)
       continue;
     if (Rep == 0 || Load < Suite.StoreLoadSeconds)
       Suite.StoreLoadSeconds = Load;
     if (Rep == 0 || Flush < Suite.StoreFlushSeconds)
       Suite.StoreFlushSeconds = Flush;
   }
-  if (std::FILE *F = std::fopen(Path.c_str(), "rb")) {
-    std::fseek(F, 0, SEEK_END);
-    long Size = std::ftell(F);
-    Suite.StoreBytes = Size > 0 ? static_cast<std::size_t>(Size) : 0;
-    std::fclose(F);
-  }
+  std::error_code EC;
+  for (fs::recursive_directory_iterator It(Inc.StorePath, EC), End;
+       !EC && It != End; It.increment(EC))
+    if (It->is_regular_file())
+      Suite.StoreBytes += It->file_size();
 }
 
 std::string fmt(double V, const char *Spec = "%.6f") {
@@ -210,15 +218,10 @@ std::string storePath(const std::string &Suite) {
   return "bench_incr_" + Suite + ".prf";
 }
 
-std::string readFileBytes(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(In),
-                     std::istreambuf_iterator<char>());
-}
-
-void writeFileBytes(const std::string &Path, const std::string &Bytes) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+/// Replaces the store directory \p Dir by a copy of \p From.
+void restoreStore(const std::string &From, const std::string &Dir) {
+  fs::remove_all(Dir);
+  fs::copy(From, Dir, fs::copy_options::recursive);
 }
 
 /// The generated multi-module program of the edit-to-verdict benchmark: one
@@ -349,10 +352,11 @@ int main(int argc, char **argv) {
       return D.run(Funcs, Clients, C, Inc, &Stats).ok();
     };
 
-    Suite.Cold = best([&] { std::remove(Path.c_str()); }, RunOnce);
+    Suite.Cold = best([&] { fs::remove_all(Path); }, RunOnce);
     // The cold best-of loop leaves a fully populated store behind.
     Suite.Warm = best([] {}, RunOnce);
-    measureStoreOverhead(Suite, Path);
+    measureStoreOverhead(Suite, Inc, [&] { return Lib->env(); },
+                         &Lib->Contracts);
 
     // Single-lemma edit: conjoin a LinArith-true but syntactically
     // irreducible fact onto the extraction lemma's requirement. Meaning is
@@ -366,8 +370,9 @@ int main(int argc, char **argv) {
       Expr Z = mkVar("incr$edit", Sort::Int);
       Ex.Requires = mkAnd(Old, mkLe(Z, mkAdd(Z, mkInt(1))));
       Suite.HasEdit = true;
-      std::string WarmStore = readFileBytes(Path);
-      auto ResetStore = [&] { writeFileBytes(Path, WarmStore); };
+      std::string WarmStore = Path + ".warm";
+      restoreStore(Path, WarmStore);
+      auto ResetStore = [&] { restoreStore(WarmStore, Path); };
       Suite.Edit = best(ResetStore, RunOnce);
       Suite.Edit.Ok = Suite.Edit.Ok && Suite.Edit.Stats.verified() == 0 &&
                       Suite.Edit.Stats.salvaged() >= 1;
@@ -390,7 +395,8 @@ int main(int argc, char **argv) {
 
     printSuite(Suite);
     Suites.push_back(std::move(Suite));
-    std::remove(Path.c_str());
+    fs::remove_all(Path);
+    fs::remove_all(Path + ".warm");
   }
 
   {
@@ -418,13 +424,13 @@ int main(int argc, char **argv) {
       return true;
     };
 
-    Suite.Cold = best([&] { std::remove(Path.c_str()); }, RunOnce);
+    Suite.Cold = best([&] { fs::remove_all(Path); }, RunOnce);
     Suite.Warm = best([] {}, RunOnce);
-    measureStoreOverhead(Suite, Path);
+    measureStoreOverhead(Suite, Inc, [&] { return Lib->env(); }, nullptr);
 
     printSuite(Suite);
     Suites.push_back(std::move(Suite));
-    std::remove(Path.c_str());
+    fs::remove_all(Path);
   }
 
   {
@@ -459,9 +465,9 @@ int main(int argc, char **argv) {
       return RunWith(Inc, Stats);
     };
 
-    Suite.Cold = best([&] { std::remove(Path.c_str()); }, RunOnce);
+    Suite.Cold = best([&] { fs::remove_all(Path); }, RunOnce);
     Suite.Warm = best([] {}, RunOnce);
-    measureStoreOverhead(Suite, Path);
+    measureStoreOverhead(Suite, Inc, [&] { return Gen.env(); }, nullptr);
 
     // The conjunct edit, applied once; both edit runs restart from the
     // pristine warm store (a salvage run refreshes the records on disk).
@@ -472,8 +478,9 @@ int main(int argc, char **argv) {
       Parts[1] = gilsonite::pure(mkLe(XV, mkInt(999)));
       Sp->Pre = gilsonite::star(std::move(Parts));
       Suite.HasEdit = true;
-      std::string WarmStore = readFileBytes(Path);
-      auto ResetStore = [&] { writeFileBytes(Path, WarmStore); };
+      std::string WarmStore = Path + ".warm";
+      restoreStore(Path, WarmStore);
+      auto ResetStore = [&] { restoreStore(WarmStore, Path); };
       Suite.Edit = best(ResetStore, RunOnce);
       // Every obligation must be salvaged, none re-proved.
       Suite.Edit.Ok = Suite.Edit.Ok && Suite.Edit.Stats.verified() == 0 &&
@@ -492,7 +499,8 @@ int main(int argc, char **argv) {
 
     printSuite(Suite);
     Suites.push_back(std::move(Suite));
-    std::remove(Path.c_str());
+    fs::remove_all(Path);
+    fs::remove_all(Path + ".warm");
   }
 
   bool AllOk = true;

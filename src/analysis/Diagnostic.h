@@ -39,7 +39,7 @@ enum class Severity : uint8_t { Error = 0, Warning = 1 };
 const char *severityName(Severity S);
 
 // Stable diagnostic codes. Append only, never renumber: codes appear in
-// persisted lint verdicts (incr/ProofStore.h), suppression attributes and
+// persisted lint verdicts (incr/Record.h), suppression attributes and
 // user-facing documentation.
 namespace code {
 inline constexpr const char *BadTarget = "GILR-E001";      ///< Terminator target out of range.

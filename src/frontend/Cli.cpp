@@ -41,7 +41,7 @@ const char *Usage =
     "  --json              machine-readable output (one object per file;\n"
     "                      an array when several files are given)\n"
     "  --jobs N            scheduler worker threads for verify (default 1)\n"
-    "  --incr-store PATH   persistent proof store for verify\n"
+    "  --incr-store DIR    persistent proof store for verify\n"
     "  --shared-cache DIR  shared content-addressed proof cache for verify\n"
     "  --Werror            promote analysis warnings to errors (lint/verify)\n"
     "  --explain CODE      print the registry entry for a diagnostic code\n"
@@ -250,6 +250,9 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
   incr::IncrRunStats Stats;
   hybrid::HybridReport Report =
       Driver.run(UnsafeFuncs, Clients, SC, IC, &Stats);
+  // Store trouble never changes the exit code: the verdicts stand.
+  for (const std::string &W : Stats.StoreWarnings)
+    Err << "gilr: warning: " << W << "\n";
 
   if (!Report.Analysis.ok() || Report.Analysis.EntitiesBlocked > 0)
     R.Exit = ExitLintError;
@@ -274,7 +277,6 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
                  std::to_string(Stats.SalvageQueries) +
                  ", \"shared_hits\": " + std::to_string(Stats.SharedHits) +
                  ", \"shared_puts\": " + std::to_string(Stats.SharedPuts) +
-                 ", \"compactions\": " + std::to_string(Stats.Compactions) +
                  "}, \"interproc\": {\"summaries_computed\": " +
                  std::to_string(Stats.SummariesComputed) +
                  ", \"summaries_reused\": " +
@@ -294,8 +296,7 @@ FileResult runVerify(const CliOptions &Opt, const std::string &Path,
           << Stats.verified() << " verified, " << Stats.Invalidated
           << " invalidated, " << Stats.Salvaged << " salvaged, "
           << Stats.Implied << " implied, " << Stats.SharedHits
-          << " shared hits, " << Stats.SharedPuts << " shared puts, "
-          << Stats.Compactions << " compactions\n";
+          << " shared hits, " << Stats.SharedPuts << " shared puts\n";
       Out << "interproc: " << Stats.SummariesComputed
           << " summaries computed, " << Stats.SummariesReused << " reused, "
           << Stats.TriagedStatic << " triaged static\n";

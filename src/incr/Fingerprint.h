@@ -4,7 +4,7 @@
 /// Merkle-style structural fingerprints over the entities a proof can
 /// depend on: RMIR function bodies, Gilsonite specs and predicate
 /// declarations, registered lemmas, Pearlite contracts and safe client
-/// functions. The incremental proof store (incr/ProofStore.h) keys cached
+/// functions. The incremental proof store (incr/RecordStore.h) keys cached
 /// verdicts by these, so they must be *process-stable*: a fingerprint is a
 /// pure function of the entity's structure, never of process-local intern
 /// ids (sym's dense Id / CanonId / NameSym are assigned in interning order,

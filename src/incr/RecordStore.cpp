@@ -1,17 +1,18 @@
-//===- incr/CacheBackend.cpp ------------------------------------------------------===//
+//===- incr/RecordStore.cpp -------------------------------------------------------===//
 
-#include "incr/CacheBackend.h"
-
-#include "support/Files.h"
+#include "incr/RecordStore.h"
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <vector>
 
 #ifndef _WIN32
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -34,12 +35,29 @@ uint64_t fnv1a(const void *Data, std::size_t N, uint64_t H) {
   return H;
 }
 
+/// The stamp of the open file \p F, or else of the file at \p Path (all
+/// zero where unsupported, which never matches a remembered copy).
+FileStamp stampOf(std::FILE *F, const std::string &Path = "") {
+  FileStamp S;
+#ifndef _WIN32
+  struct stat St;
+  if ((F ? ::fstat(::fileno(F), &St) : ::stat(Path.c_str(), &St)) == 0)
+    S = FileStamp{static_cast<uint64_t>(St.st_ino),
+                  static_cast<uint64_t>(St.st_size),
+                  static_cast<uint64_t>(St.st_mtim.tv_sec) * 1000000000ull +
+                      static_cast<uint64_t>(St.st_mtim.tv_nsec)};
+#endif
+  return S;
+}
+
 /// Quiet whole-file read: a missing or unreadable record is a cache miss,
 /// not a diagnostic (unlike files::readFile).
-bool readFileQuiet(const std::string &Path, std::string &Out) {
+bool readFileQuiet(const std::string &Path, std::string &Out,
+                   FileStamp &Stamp) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return false;
+  Stamp = stampOf(F);
   Out.clear();
   char Buf[1 << 16];
   std::size_t N;
@@ -48,6 +66,20 @@ bool readFileQuiet(const std::string &Path, std::string &Out) {
   bool Ok = !std::ferror(F);
   std::fclose(F);
   return Ok;
+}
+
+/// Quiet whole-file write of a new file: returns errno (0 on success) and
+/// the stamp of what was written.
+int writeFileQuiet(const std::string &Path, const std::string &Data,
+                   FileStamp &Stamp) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  if (!F)
+    return errno ? errno : EIO;
+  bool Ok = std::fwrite(Data.data(), 1, Data.size(), F) == Data.size() &&
+            std::fflush(F) == 0;
+  Stamp = stampOf(F);
+  Ok = std::fclose(F) == 0 && Ok;
+  return Ok ? 0 : EIO;
 }
 
 int processId() {
@@ -88,84 +120,35 @@ CacheKey gilr::incr::obligationCacheKey(Side S, const std::string &Name,
   return K;
 }
 
-//===----------------------------------------------------------------------===//
-// LocalStoreBackend
-//===----------------------------------------------------------------------===//
-
-LocalStoreBackend::LocalStoreBackend(std::string Path)
-    : Store(std::move(Path)) {
-  Store.load(/*AllowCompaction=*/false);
-  for (const StoredObligation *Ob : Store.records())
-    KeyIndex.emplace(
-        obligationCacheKey(Ob->S, Ob->Name, Ob->SelfFp, Ob->ConfigFp),
-        std::make_pair(Ob->S, Ob->Name));
+CacheKey gilr::incr::solverEntriesKey() {
+  // Not an obligation key: no obligation has an empty name.
+  return obligationCacheKey(Side::Unsafe, "", 0, 0);
 }
 
-bool LocalStoreBackend::get(const CacheKey &K, std::string &Blob) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ++St.Gets;
-  auto It = KeyIndex.find(K);
-  if (It == KeyIndex.end())
-    return false;
-  const StoredObligation *Ob = Store.lookup(It->second.first, It->second.second);
-  if (!Ob ||
-      !(obligationCacheKey(Ob->S, Ob->Name, Ob->SelfFp, Ob->ConfigFp) == K))
-    return false; // Superseded by a put under a newer fingerprint.
-  Blob = encodeObligationRecord(*Ob);
-  ++St.Hits;
-  return true;
-}
-
-bool LocalStoreBackend::put(const CacheKey &K, const std::string &Blob) {
-  StoredObligation Ob;
-  if (!decodeObligationRecord(Blob, Ob) ||
-      !(obligationCacheKey(Ob.S, Ob.Name, Ob.SelfFp, Ob.ConfigFp) == K)) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++St.PutsSkipped; // Malformed or mislabeled blob: never store it.
-    return true;
-  }
-  std::lock_guard<std::mutex> Lock(Mu);
-  KeyIndex.emplace(K, std::make_pair(Ob.S, Ob.Name));
-  Store.put(std::move(Ob));
-  ++St.Puts;
-  return true;
-}
-
-bool LocalStoreBackend::flush() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Store.flush();
-}
-
-CacheBackendStats LocalStoreBackend::stats() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  CacheBackendStats S = St;
-  S.Entries = Store.size();
-  return S;
+CacheKey gilr::incr::storeIndexKey() {
+  return obligationCacheKey(Side::Unsafe, "", 1, 0);
 }
 
 //===----------------------------------------------------------------------===//
-// SharedDirBackend
+// RecordStore
 //===----------------------------------------------------------------------===//
 
-SharedDirBackend::SharedDirBackend(SharedDirConfig Cfg_)
-    : Cfg(std::move(Cfg_)) {
+RecordStore::RecordStore(RecordStoreConfig Cfg_) : Cfg(std::move(Cfg_)) {
   std::error_code EC;
-  fs::create_directories(fs::path(Cfg.Dir) / "objects", EC);
-  // A failure here degrades every get to a miss and every put to a no-op;
-  // the session still works off its local store.
+  if (fs::exists(Cfg.Dir, EC) && !fs::is_directory(Cfg.Dir, EC))
+    Error = "not a directory";
 }
 
-std::string SharedDirBackend::recordPath(const CacheKey &K) const {
+std::string RecordStore::recordPath(const CacheKey &K) const {
   std::string H = K.hex();
   return (fs::path(Cfg.Dir) / "objects" / H.substr(0, 2) / (H.substr(2) + ".rec"))
       .string();
 }
 
-bool SharedDirBackend::readRecordFile(const std::string &Path,
-                                      const CacheKey &K,
-                                      std::string &Blob) const {
+bool RecordStore::readRecordFile(const std::string &Path, const CacheKey &K,
+                                 std::string &Blob, FileStamp &Stamp) const {
   std::string Raw;
-  if (!readFileQuiet(Path, Raw))
+  if (!readFileQuiet(Path, Raw, Stamp))
     return false;
   // magic[8] version[4] hi[8] lo[8] len[4] payload checksum[8]
   constexpr std::size_t Head = 8 + 4 + 8 + 8 + 4;
@@ -187,51 +170,82 @@ bool SharedDirBackend::readRecordFile(const std::string &Path,
   return true;
 }
 
-bool SharedDirBackend::get(const CacheKey &K, std::string &Blob) {
+void RecordStore::remember(const CacheKey &K, const std::string &Blob,
+                           const FileStamp &Stamp) {
+  auto It = Mem.find(K);
+  if (It != Mem.end())
+    It->second = MemEntry{Blob, Stamp};
+  else if (Mem.size() < Cfg.MemCacheEntries)
+    Mem.emplace(K, MemEntry{Blob, Stamp});
+}
+
+bool RecordStore::current(const CacheKey &K, const std::string &Path,
+                          std::string &Blob) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    ++St.Gets;
-    auto It = Mem.find(K);
-    if (It != Mem.end()) {
-      Blob = It->second;
-      ++St.Hits;
-      return true;
-    }
+    if (!Mem.count(K))
+      return false;
   }
-  std::string Path = recordPath(K);
-  if (!readRecordFile(Path, K, Blob))
-    return false;
-  // Refresh the read mtime so the size-budget GC evicts in LRU order.
-  // Failures (e.g. a read-only share) just age the record faster.
-  std::error_code EC;
-  fs::last_write_time(Path, fs::file_time_type::clock::now(), EC);
+  // Another process may have replaced or evicted the file since: the copy
+  // counts only while the file is the one it was read from or written as.
+  FileStamp Now = stampOf(nullptr, Path);
   std::lock_guard<std::mutex> Lock(Mu);
-  ++St.Hits;
-  if (Cfg.MemCacheEntries && Mem.size() < Cfg.MemCacheEntries)
-    Mem.emplace(K, Blob);
+  auto It = Mem.find(K);
+  if (It == Mem.end())
+    return false;
+  if (!(Now.Size && Now == It->second.Stamp)) {
+    Mem.erase(It);
+    return false;
+  }
+  Blob = It->second.Blob;
   return true;
 }
 
-bool SharedDirBackend::put(const CacheKey &K, const std::string &Blob) {
-  if (Cfg.ReadOnly) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++St.PutsSkipped;
-    return true;
-  }
+bool RecordStore::get(const CacheKey &K, std::string &Blob) {
+  std::string Path = recordPath(K);
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    if (Cfg.MemCacheEntries && Mem.size() < Cfg.MemCacheEntries)
-      Mem.emplace(K, Blob);
+    ++St.Gets;
   }
-  std::string Path = recordPath(K);
-  std::error_code EC;
-  if (fs::exists(Path, EC)) {
-    // Content-addressed: an existing record for this key holds a verdict
-    // for identical inputs. First writer wins, later puts are free.
+  if (current(K, Path, Blob)) {
     std::lock_guard<std::mutex> Lock(Mu);
-    ++St.PutsSkipped;
+    ++St.Hits;
     return true;
   }
+  FileStamp Stamp;
+  if (!readRecordFile(Path, K, Blob, Stamp))
+    return false;
+  if (Cfg.SizeBudgetBytes) {
+    // Refresh the read mtime so the size-budget GC evicts in LRU order.
+    // Failures (e.g. a read-only share) just age the record faster.
+    std::error_code EC;
+    fs::last_write_time(Path, fs::file_time_type::clock::now(), EC);
+    Stamp = stampOf(nullptr, Path);
+  }
+  std::lock_guard<std::mutex> Lock(Mu);
+  ++St.Hits;
+  remember(K, Blob, Stamp);
+  return true;
+}
+
+RecordStore::PutResult RecordStore::put(const CacheKey &K,
+                                        const std::string &Blob,
+                                        std::string *Why) {
+  std::string Path = recordPath(K);
+  // A warm run re-putting what is already on disk writes nothing.
+  std::string Old;
+  FileStamp Stamp;
+  if (current(K, Path, Old) ||
+      readRecordFile(Path, K, Old, Stamp)) {
+    if (Old == Blob) {
+      std::lock_guard<std::mutex> Lock(Mu);
+      ++St.PutsSkipped;
+      if (Stamp.Size)
+        remember(K, Blob, Stamp);
+      return PutResult::Unchanged;
+    }
+  }
+
   std::string Out;
   Out.reserve(8 + 4 + 8 + 8 + 4 + Blob.size() + 8);
   Out.append(RecMagic, 8);
@@ -248,26 +262,39 @@ bool SharedDirBackend::put(const CacheKey &K, const std::string &Blob) {
   static std::atomic<unsigned> TmpCounter{0};
   std::string Tmp = Path + ".tmp." + std::to_string(processId()) + "." +
                     std::to_string(TmpCounter.fetch_add(1));
-  if (!files::writeFile(Tmp, Out, "shared proof-cache record"))
-    return false;
-  fs::rename(Tmp, Path, EC);
-  if (EC) {
+  std::error_code EC;
+  int Errno = writeFileQuiet(Tmp, Out, Stamp);
+  if (Errno == ENOENT) {
+    // The fan-out directory's first record: create it and retry.
+    fs::create_directories(fs::path(Path).parent_path(), EC);
+    Errno = EC ? EC.value() : writeFileQuiet(Tmp, Out, Stamp);
+  }
+  std::string Err = Errno ? std::strerror(Errno) : "";
+  if (Err.empty()) {
+    fs::rename(Tmp, Path, EC);
+    if (EC)
+      Err = EC.message();
+  }
+  if (!Err.empty()) {
     fs::remove(Tmp, EC);
-    return false;
+    if (Why)
+      *Why = Err;
+    return PutResult::Failed;
   }
   std::lock_guard<std::mutex> Lock(Mu);
   ++St.Puts;
-  return true;
+  remember(K, Blob, Stamp);
+  return PutResult::Written;
 }
 
-void SharedDirBackend::pin(const CacheKey &K) {
+void RecordStore::remove(const CacheKey &K) {
+  std::error_code EC;
+  fs::remove(recordPath(K), EC);
   std::lock_guard<std::mutex> Lock(Mu);
-  Pinned.insert(K);
+  Mem.erase(K);
 }
 
-bool SharedDirBackend::gc() {
-  if (Cfg.ReadOnly)
-    return true;
+void RecordStore::gc(const std::set<CacheKey> &Pinned) {
   struct Rec {
     std::string Path;
     CacheKey K;
@@ -325,7 +352,7 @@ bool SharedDirBackend::gc() {
       if (Total <= Cfg.SizeBudgetBytes)
         break;
       if (Pinned.count(R.K))
-        continue; // Referenced by the current run: never evicted.
+        continue; // Referenced by the run in progress: never evicted.
       std::error_code RmEC;
       fs::remove(R.Path, RmEC);
       if (RmEC)
@@ -338,12 +365,9 @@ bool SharedDirBackend::gc() {
   }
   St.Bytes = Total;
   St.Entries = Recs.size() - Evicted;
-  return true;
 }
 
-bool SharedDirBackend::flush() { return gc(); }
-
-CacheBackendStats SharedDirBackend::stats() const {
+RecordStoreStats RecordStore::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return St;
 }

@@ -5,6 +5,10 @@
 #include "solver/Flight.h"
 #include "support/Trace.h"
 
+#include <algorithm>
+#include <filesystem>
+#include <tuple>
+
 using namespace gilr;
 using namespace gilr::incr;
 
@@ -15,64 +19,142 @@ namespace {
 /// valid as long as it remains missing and invalidates when it appears.
 constexpr uint64_t MissingEntityFp = 0x6d69'7373'696e'67ull; // "missing".
 
+/// Bumps \p Counter and, with tracing on, the registry metric \p Metric.
+void count(uint64_t &Counter, const char *Metric) {
+  ++Counter;
+  if (trace::enabled())
+    metrics::Registry::get().add(Metric);
+}
+
+/// The flight-journal side tag salvage queries are attributed to.
+char flightSide(Side S) {
+  switch (S) {
+  case Side::Unsafe:
+    return 'U';
+  case Side::Safe:
+    return 'S';
+  case Side::Lint:
+    return 'L';
+  case Side::Summary:
+    return 'M';
+  }
+  return '?';
+}
+
+/// A lookup Decode callback that fills \p Out and marks it as replayed.
+template <typename ReportT>
+std::function<bool(const std::string &)>
+replayInto(bool (*Decode)(const std::string &, ReportT &), ReportT &Out) {
+  return [Decode, &Out](const std::string &Blob) {
+    if (!Decode(Blob, Out))
+      return false;
+    Out.Cached = true;
+    return true;
+  };
+}
+
+/// Side::Summary key of a predicate summary (function summaries use the
+/// bare name; the prefix keeps the two namespaces disjoint).
+std::string predSummaryKey(const std::string &Pred) { return "pred:" + Pred; }
+
 } // namespace
 
 Session::Session(const IncrConfig &Cfg, engine::VerifEnv &Env,
                  const creusot::PearliteSpecTable *Contracts)
-    : Cfg(Cfg), Env(Env), Contracts(Contracts), Store(Cfg.StorePath) {
+    : Cfg(Cfg), Env(Env), Contracts(Contracts) {
   ConfigFp = fpAutomation(Env.Auto, Env.Solv.MaxBranches);
   LintConfigFp = fpAnalysisConfig(Env.Lint, Env.Solv.MaxBranches);
   SummaryConfigFp = fpSummaryConfig();
   if (!Cfg.StorePath.empty()) {
-    // Writable sessions compact the append-log on load (superseded records
-    // dropped, previous-version stores upgraded); read-only ones must not
-    // touch the file.
-    Stats.StoreLoaded = Store.load(/*AllowCompaction=*/!Cfg.ReadOnly);
-    Stats.StoreTruncated = Store.truncated();
-    Stats.Compactions = Store.compactions();
-    if (trace::enabled() && Stats.Compactions)
-      metrics::Registry::get().add("incr.compactions", Stats.Compactions);
+    std::error_code EC;
+    Stats.StoreLoaded = std::filesystem::is_directory(Cfg.StorePath, EC);
+    open(Local, Cfg.StorePath);
   }
-  if (Cfg.Backend) {
-    Remote = Cfg.Backend;
-  } else if (!Cfg.SharedCacheDir.empty()) {
-    SharedDirConfig SC;
-    SC.Dir = Cfg.SharedCacheDir;
-    SC.SizeBudgetBytes = Cfg.SharedCacheBudgetBytes;
-    SC.ReadOnly = Cfg.ReadOnly;
-    OwnedRemote = std::make_unique<SharedDirBackend>(std::move(SC));
-    Remote = OwnedRemote.get();
-  }
-}
-
-bool Session::fetchShared(Side S, const std::string &Name, uint64_t SelfFp,
-                          uint64_t CfgFp, StoredObligation &Out) {
-  if (!Remote)
-    return false;
-  CacheKey K = obligationCacheKey(S, Name, SelfFp, CfgFp);
-  // Pin regardless of the outcome: a concurrent GC must not evict the
-  // record between this get and the run's own put of the same key.
-  Remote->pin(K);
+  if (Cfg.Shared)
+    Shared.Store = Cfg.Shared;
+  else if (!Cfg.SharedCacheDir.empty())
+    open(Shared, Cfg.SharedCacheDir);
   std::string Blob;
-  if (!Remote->get(K, Blob))
-    return false;
-  if (!decodeObligationRecord(Blob, Out))
-    return false;
-  // The key is derived from the record's identity; a blob whose decoded
-  // identity disagrees (corrupt share) must not masquerade as a hit.
-  return Out.S == S && Out.Name == Name && Out.SelfFp == SelfFp &&
-         Out.ConfigFp == CfgFp;
+  if (Local.Store && Local.Store->get(solverEntriesKey(), Blob) &&
+      !decodeSolverEntries(Blob, LoadedSolver))
+    LoadedSolver.clear();
+  Index = readIndex();
 }
 
-void Session::publishShared(const StoredObligation &Ob) {
-  if (!Remote || Cfg.ReadOnly)
+void Session::open(Level &L, const std::string &Dir) {
+  RecordStoreConfig RC;
+  RC.Dir = Dir;
+  L.Owned = std::make_unique<RecordStore>(std::move(RC));
+  if (!L.Owned->error().empty()) {
+    // Run without it: never read, never written (never clobbered).
+    L.Failed = true;
+    Stats.StoreWarnings.push_back("cannot use proof store " + Dir + ": " +
+                                  L.Owned->error() + "; running without it");
     return;
-  CacheKey K = obligationCacheKey(Ob.S, Ob.Name, Ob.SelfFp, Ob.ConfigFp);
-  Remote->pin(K);
-  Remote->put(K, encodeObligationRecord(Ob));
-  ++Stats.SharedPuts;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.shared_puts");
+  }
+  L.Store = L.Owned.get();
+}
+
+bool Session::fetch(Level &L, const CacheKey &K, StoredObligation &Out) {
+  std::string Blob;
+  // The key is derived from the record's identity; a blob whose decoded
+  // identity disagrees (corrupt store) must not masquerade as a hit.
+  return L.Store && L.Store->get(K, Blob) &&
+         decodeObligationRecord(Blob, Out) &&
+         obligationCacheKey(Out.S, Out.Name, Out.SelfFp, Out.ConfigFp) == K;
+}
+
+bool Session::write(Level &L, const CacheKey &K, const std::string &Blob) {
+  if (!L.Store || L.Failed)
+    return false;
+  std::string Why;
+  RecordStore::PutResult R = L.Store->put(K, Blob, &Why);
+  if (R == RecordStore::PutResult::Failed) {
+    // Reported once; the rest of the run does not retry this store.
+    L.Failed = true;
+    Stats.StoreWarnings.push_back("cannot write proof store " +
+                                  L.Store->config().Dir + ": " + Why +
+                                  "; verdicts are not cached there");
+  }
+  return R == RecordStore::PutResult::Written;
+}
+
+std::map<ObligationId, IndexEntry> Session::readIndex() {
+  std::map<ObligationId, IndexEntry> Out;
+  std::string Blob;
+  std::vector<IndexEntry> Es;
+  if (Local.Store && Local.Store->get(storeIndexKey(), Blob) &&
+      decodeStoreIndex(Blob, Es))
+    for (IndexEntry &E : Es)
+      Out[ObligationId{E.S, E.Name}] = std::move(E);
+  return Out;
+}
+
+void Session::index(const ObligationId &Id, const CacheKey &K,
+                    const std::vector<StoredDep> *Refreshed) {
+  if (Cfg.ReadOnly || !Local.Store)
+    return;
+  auto It = Index.find(Id);
+  if (It != Index.end()) {
+    if (!(It->second.Key == K))
+      Superseded.push_back(It->second.Key);
+    else if (!Refreshed && !It->second.Refreshed)
+      return; // Already current.
+  }
+  IndexEntry &E = Index[Id];
+  E.S = Id.S;
+  E.Name = Id.Name;
+  E.Key = K;
+  E.Refreshed = Refreshed != nullptr;
+  E.Deps = Refreshed ? *Refreshed : std::vector<StoredDep>();
+  IndexTouched.insert(Id);
+}
+
+void Session::keepLocally(const StoredObligation &Ob, const CacheKey &K) {
+  if (Cfg.ReadOnly)
+    return;
+  write(Local, K, encodeObligationRecord(Ob));
+  index(ObligationId{Ob.S, Ob.Name}, K, nullptr);
 }
 
 uint64_t Session::currentFp(const DepKey &Key) {
@@ -175,9 +257,7 @@ Session::DepsVerdict Session::checkDeps(const StoredObligation &Ob,
   // layer like any other, so a repeated edit re-salvages from cache.
   flight::ObligationScope Scope(Ob.Name, FlightSide);
   for (const SalvageObligation &Q : Queries) {
-    ++Stats.SalvageQueries;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.salvage_queries");
+    count(Stats.SalvageQueries, "incr.salvage_queries");
     if (!Env.Solv.entails(Q.Ctx, Q.Goal))
       return DepsVerdict::Invalid;
   }
@@ -202,399 +282,282 @@ std::vector<StoredDep> Session::snapshotDeps(const std::set<DepKey> &Deps) {
   return Out;
 }
 
-void Session::refreshRecord(const StoredObligation &Ob, uint64_t SelfFp,
-                            const std::set<DepKey> &DepKeys) {
-  if (Cfg.ReadOnly)
-    return;
-  StoredObligation Fresh;
-  Fresh.S = Ob.S;
-  Fresh.Name = Ob.Name;
-  Fresh.SelfFp = SelfFp;
-  Fresh.ConfigFp = Ob.ConfigFp;
-  Fresh.Deps = snapshotDeps(DepKeys);
-  Fresh.Blob = Ob.Blob;
-  Store.put(std::move(Fresh)); // Replaces Ob: the caller's pointer dies.
+bool Session::lookup(
+    Side S, const std::string &Name, uint64_t SelfFp, uint64_t CfgFp,
+    const std::function<bool(const std::string &)> &Decode) {
+  CacheKey K = obligationCacheKey(S, Name, SelfFp, CfgFp);
+  ObligationId Id{S, Name};
+  auto Idx = Index.find(Id);
+  StoredObligation Ob;
+  bool FromShared = false;
+  // Whether a record was found but is no longer valid, or the local store
+  // indexes the obligation under an older key (its own entity or the
+  // configuration changed). Summaries are recomputed without counting.
+  bool Stale = false;
+  if (fetch(Local, K, Ob)) {
+    if (Idx != Index.end() && Idx->second.Key == K && Idx->second.Refreshed)
+      Ob.Deps = Idx->second.Deps; // The last salvage's snapshot.
+  } else {
+    Stale = Idx != Index.end();
+    if (Shared.Store) {
+      // Remembered, found or not, so the record path need not read it
+      // again; and pinned, so a GC does not evict it before this run's put.
+      auto Ins = SharedSeen.try_emplace(K);
+      StoredObligation Got;
+      if (Ins.second && fetch(Shared, K, Got))
+        Ins.first->second = std::move(Got);
+      if (Ins.first->second) {
+        Ob = *Ins.first->second;
+        FromShared = true;
+      }
+    }
+    if (!FromShared) {
+      if (Stale && S != Side::Summary)
+        ++Stats.Invalidated;
+      return false;
+    }
+  }
+  DepsVerdict DV = checkDeps(Ob, flightSide(S));
+  if (DV == DepsVerdict::Invalid) {
+    if (S != Side::Summary)
+      ++Stats.Invalidated;
+    return false;
+  }
+  if (!Decode(Ob.Blob))
+    return false; // Malformed blob: treat as a miss, re-verify.
+  switch (S) {
+  case Side::Unsafe:
+    count(Stats.CachedUnsafe, "incr.cached");
+    break;
+  case Side::Safe:
+    count(Stats.CachedSafe, "incr.cached");
+    break;
+  case Side::Lint:
+    count(Stats.CachedLint, "incr.lint_cached");
+    break;
+  case Side::Summary:
+    count(Stats.SummariesReused, "incr.summaries_reused");
+    break;
+  }
+  if (FromShared)
+    count(Stats.SharedHits, "incr.shared_hits");
+  // The stored deps stay current (nothing changed), so the graph keeps
+  // answering dependentsOf precisely on warm runs too.
+  std::set<DepKey> Deps;
+  for (const StoredDep &D : Ob.Deps)
+    Deps.insert(DepKey{D.K, D.Name});
+  if (DV != DepsVerdict::Clean) {
+    if (DV == DepsVerdict::Implied)
+      count(Stats.Implied, "incr.implied");
+    else
+      count(Stats.Salvaged, "incr.salvaged");
+    // Take the current dependency fingerprints, so the next run takes the
+    // plain warm path. A local record keeps its file: the new snapshot goes
+    // into the index, written once at flush. The shared copy stays: its
+    // other readers may still be on the old dependencies.
+    Ob.Deps = snapshotDeps(Deps);
+  }
+  if (FromShared)
+    keepLocally(Ob, K);
+  else
+    index(Id, K, DV != DepsVerdict::Clean ? &Ob.Deps : nullptr);
+  Graph.record(Id, std::move(Deps));
+  return true;
 }
 
-namespace {
-
-/// Bumps the salvage counters for a non-Clean replay and reports to the
-/// metrics registry.
-void noteSalvage(IncrRunStats &Stats, bool ViaImplication) {
-  if (ViaImplication) {
-    ++Stats.Implied;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.implied");
-  } else {
-    ++Stats.Salvaged;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.salvaged");
+void Session::record(Side S, const std::string &Name, uint64_t SelfFp,
+                     uint64_t CfgFp, const std::set<DepKey> &Deps,
+                     std::optional<std::string> Blob) {
+  switch (S) {
+  case Side::Unsafe:
+    count(Stats.VerifiedUnsafe, "incr.verified");
+    break;
+  case Side::Safe:
+    count(Stats.VerifiedSafe, "incr.verified");
+    break;
+  case Side::Lint:
+    count(Stats.AnalyzedLint, "incr.lint_analyzed");
+    break;
+  case Side::Summary:
+    count(Stats.SummariesComputed, "incr.summaries_computed");
+    break;
+  }
+  Graph.record(ObligationId{S, Name}, std::set<DepKey>(Deps));
+  if (!Blob || Cfg.ReadOnly)
+    return;
+  StoredObligation Ob;
+  Ob.S = S;
+  Ob.Name = Name;
+  Ob.SelfFp = SelfFp;
+  Ob.ConfigFp = CfgFp;
+  Ob.Deps = snapshotDeps(Deps);
+  Ob.Blob = std::move(*Blob);
+  CacheKey K = obligationCacheKey(S, Name, SelfFp, CfgFp);
+  keepLocally(Ob, K);
+  if (!Shared.Store)
+    return;
+  // The shared store serves runs on other dependency contexts under the
+  // same key. A fresh proof verdict replaces its copy, so the next run of
+  // the same edit replays it; lint verdicts and summaries, cheap to
+  // recompute, only fill a missing record, so that runs on different
+  // contexts do not keep evicting each other's. What the shared store held
+  // is known from this run's lookup of the key.
+  auto Seen = SharedSeen.try_emplace(K);
+  if (Seen.second) {
+    StoredObligation Got; // Recorded without a lookup: read it now.
+    if (fetch(Shared, K, Got))
+      Seen.first->second = std::move(Got);
+  }
+  if ((S == Side::Unsafe || S == Side::Safe || !Seen.first->second) &&
+      write(Shared, K, encodeObligationRecord(Ob))) {
+    count(Stats.SharedPuts, "incr.shared_puts");
+    Seen.first->second = std::move(Ob);
   }
 }
-
-} // namespace
 
 bool Session::lookupUnsafe(const std::string &Func,
                            engine::VerifyReport &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  const StoredObligation *Ob = Store.lookup(Side::Unsafe, Func);
-  bool LocalInvalid = false;
-  if (Ob && (Ob->ConfigFp != ConfigFp || Ob->SelfFp != SelfFp)) {
-    LocalInvalid = true;
-    Ob = nullptr;
-  }
-  // Local miss: consult the shared backend under the *current*
-  // fingerprints. Its record, if any, was produced for byte-identical
-  // inputs; the dependency validation below still applies.
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob && fetchShared(Side::Unsafe, Func, SelfFp, ConfigFp, Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob) {
-    if (LocalInvalid)
-      ++Stats.Invalidated;
-    return false;
-  }
-  DepsVerdict DV = checkDeps(*Ob, 'U');
-  if (DV == DepsVerdict::Invalid) {
-    ++Stats.Invalidated;
-    return false;
-  }
-  if (!decodeVerifyReport(Ob->Blob, Out))
-    return false; // Malformed blob: treat as a miss, re-verify.
-  Out.Cached = true;
-  ++Stats.CachedUnsafe;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.cached");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-  }
-  // The stored deps stay current (nothing changed), so the graph keeps
-  // answering dependentsOf precisely on warm runs too.
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  if (DV != DepsVerdict::Clean) {
-    noteSalvage(Stats, DV == DepsVerdict::Implied);
-    refreshRecord(*Ob, SelfFp, Deps); // Ob dangles from here on.
-  } else if (FromShared && !Cfg.ReadOnly) {
-    Store.put(StoredObligation(Shared)); // Warm the local store too.
-  }
-  Graph.record(ObligationId{Side::Unsafe, Func}, std::move(Deps));
-  return true;
+  return lookup(Side::Unsafe, Func,
+                currentFp(DepKey{deps::Kind::Function, Func}), ConfigFp,
+                replayInto(decodeVerifyReport, Out));
 }
 
 void Session::recordUnsafe(const std::string &Func,
                            const std::set<DepKey> &Deps,
                            const engine::VerifyReport &R) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.VerifiedUnsafe;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.verified");
-  Graph.record(ObligationId{Side::Unsafe, Func}, std::set<DepKey>(Deps));
-  if (R.TimedOut)
-    return; // Budget-degraded results are transient; never cache them.
-  StoredObligation Ob;
-  Ob.S = Side::Unsafe;
-  Ob.Name = Func;
-  Ob.SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  Ob.ConfigFp = ConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodeVerifyReport(R);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
+  // Budget-degraded results are transient; never cache them.
+  record(Side::Unsafe, Func, currentFp(DepKey{deps::Kind::Function, Func}),
+         ConfigFp, Deps,
+         R.TimedOut ? std::nullopt
+                    : std::optional<std::string>(encodeVerifyReport(R)));
 }
 
 bool Session::lookupSafe(const creusot::SafeFn &F, creusot::SafeReport &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t SelfFp = fpSafeFn(F);
-  const StoredObligation *Ob = Store.lookup(Side::Safe, F.Name);
-  bool LocalInvalid = false;
-  if (Ob && (Ob->ConfigFp != ConfigFp || Ob->SelfFp != SelfFp)) {
-    LocalInvalid = true;
-    Ob = nullptr;
-  }
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob && fetchShared(Side::Safe, F.Name, SelfFp, ConfigFp, Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob) {
-    if (LocalInvalid)
-      ++Stats.Invalidated;
-    return false;
-  }
-  DepsVerdict DV = checkDeps(*Ob, 'S');
-  if (DV == DepsVerdict::Invalid) {
-    ++Stats.Invalidated;
-    return false;
-  }
-  if (!decodeSafeReport(Ob->Blob, Out))
-    return false;
-  Out.Cached = true;
-  ++Stats.CachedSafe;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.cached");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-  }
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  if (DV != DepsVerdict::Clean) {
-    noteSalvage(Stats, DV == DepsVerdict::Implied);
-    refreshRecord(*Ob, SelfFp, Deps); // Ob dangles from here on.
-  } else if (FromShared && !Cfg.ReadOnly) {
-    Store.put(StoredObligation(Shared));
-  }
-  Graph.record(ObligationId{Side::Safe, F.Name}, std::move(Deps));
-  return true;
+  return lookup(Side::Safe, F.Name, fpSafeFn(F), ConfigFp,
+                replayInto(decodeSafeReport, Out));
 }
 
 void Session::recordSafe(const creusot::SafeFn &F,
                          const std::set<DepKey> &Deps,
                          const creusot::SafeReport &R) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.VerifiedSafe;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.verified");
-  Graph.record(ObligationId{Side::Safe, F.Name}, std::set<DepKey>(Deps));
-  if (R.TimedOut)
-    return;
-  StoredObligation Ob;
-  Ob.S = Side::Safe;
-  Ob.Name = F.Name;
-  Ob.SelfFp = fpSafeFn(F);
-  Ob.ConfigFp = ConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodeSafeReport(R);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
+  record(Side::Safe, F.Name, fpSafeFn(F), ConfigFp, Deps,
+         R.TimedOut ? std::nullopt
+                    : std::optional<std::string>(encodeSafeReport(R)));
 }
 
 bool Session::lookupLint(const std::string &Func,
                          analysis::EntityVerdict &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  const StoredObligation *Ob = Store.lookup(Side::Lint, Func);
-  bool LocalInvalid = false;
-  if (Ob && (Ob->ConfigFp != LintConfigFp || Ob->SelfFp != SelfFp)) {
-    LocalInvalid = true;
-    Ob = nullptr;
-  }
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob && fetchShared(Side::Lint, Func, SelfFp, LintConfigFp, Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob) {
-    if (LocalInvalid)
-      ++Stats.Invalidated;
-    return false;
-  }
-  // Lint verdicts never salvage (diagnostics quote spec text), so only a
-  // Clean dependency set replays.
-  if (checkDeps(*Ob, 'L') != DepsVerdict::Clean) {
-    ++Stats.Invalidated;
-    return false;
-  }
-  if (!decodeLintVerdict(Ob->Blob, Out))
-    return false; // Malformed blob: treat as a miss, re-lint.
-  Out.Cached = true;
-  ++Stats.CachedLint;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.lint_cached");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-    if (!Cfg.ReadOnly)
-      Store.put(StoredObligation(Shared));
-  }
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  Graph.record(ObligationId{Side::Lint, Func}, std::move(Deps));
-  return true;
+  return lookup(Side::Lint, Func,
+                currentFp(DepKey{deps::Kind::Function, Func}), LintConfigFp,
+                replayInto(decodeLintVerdict, Out));
 }
 
 void Session::recordLint(const std::string &Func,
                          const std::set<DepKey> &Deps,
                          const analysis::EntityVerdict &V) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.AnalyzedLint;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.lint_analyzed");
-  Graph.record(ObligationId{Side::Lint, Func}, std::set<DepKey>(Deps));
-  StoredObligation Ob;
-  Ob.S = Side::Lint;
-  Ob.Name = Func;
-  Ob.SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  Ob.ConfigFp = LintConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodeLintVerdict(V);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
+  record(Side::Lint, Func, currentFp(DepKey{deps::Kind::Function, Func}),
+         LintConfigFp, Deps, encodeLintVerdict(V));
 }
-
-namespace {
-/// Side::Summary store key for a predicate summary (function summaries use
-/// the bare name; the prefix keeps the two namespaces disjoint).
-std::string predSummaryKey(const std::string &Pred) { return "pred:" + Pred; }
-} // namespace
 
 bool Session::lookupSummaryFn(const std::string &Func,
                               analysis::FnSummary &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
-  uint64_t SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  const StoredObligation *Ob = Store.lookup(Side::Summary, Func);
-  if (Ob && (Ob->ConfigFp != SummaryConfigFp || Ob->SelfFp != SelfFp))
-    Ob = nullptr;
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob && fetchShared(Side::Summary, Func, SelfFp, SummaryConfigFp,
-                         Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob)
-    return false;
-  // Summaries never salvage: only a Clean dependency set replays.
-  if (checkDeps(*Ob, 'M') != DepsVerdict::Clean)
-    return false;
-  if (!decodeFnSummary(Ob->Blob, Out))
-    return false; // Malformed blob: treat as a miss, recompute.
-  ++Stats.SummariesReused;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.summaries_reused");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-    if (!Cfg.ReadOnly)
-      Store.put(StoredObligation(Shared));
-  }
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  Graph.record(ObligationId{Side::Summary, Func}, std::move(Deps));
-  return true;
+  return lookup(Side::Summary, Func,
+                currentFp(DepKey{deps::Kind::Function, Func}),
+                SummaryConfigFp,
+                [&](const std::string &Blob) {
+                  return decodeFnSummary(Blob, Out);
+                });
 }
 
 void Session::recordSummaryFn(const std::string &Func,
                               const std::set<DepKey> &Deps,
                               const analysis::FnSummary &S) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.SummariesComputed;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.summaries_computed");
-  Graph.record(ObligationId{Side::Summary, Func}, std::set<DepKey>(Deps));
-  StoredObligation Ob;
-  Ob.S = Side::Summary;
-  Ob.Name = Func;
-  Ob.SelfFp = currentFp(DepKey{deps::Kind::Function, Func});
-  Ob.ConfigFp = SummaryConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodeFnSummary(S);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
+  record(Side::Summary, Func, currentFp(DepKey{deps::Kind::Function, Func}),
+         SummaryConfigFp, Deps, encodeFnSummary(S));
 }
 
 bool Session::lookupSummaryPred(const std::string &Pred,
                                 analysis::PredSummary &Out) {
   std::lock_guard<std::mutex> Lock(Mu);
-  std::string Key = predSummaryKey(Pred);
-  uint64_t SelfFp = currentFp(DepKey{deps::Kind::Pred, Pred});
-  const StoredObligation *Ob = Store.lookup(Side::Summary, Key);
-  if (Ob && (Ob->ConfigFp != SummaryConfigFp || Ob->SelfFp != SelfFp))
-    Ob = nullptr;
-  StoredObligation Shared;
-  bool FromShared = false;
-  if (!Ob &&
-      fetchShared(Side::Summary, Key, SelfFp, SummaryConfigFp, Shared)) {
-    Ob = &Shared;
-    FromShared = true;
-  }
-  if (!Ob)
-    return false;
-  if (checkDeps(*Ob, 'M') != DepsVerdict::Clean)
-    return false;
-  if (!decodePredSummary(Ob->Blob, Out))
-    return false;
-  ++Stats.SummariesReused;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.summaries_reused");
-  if (FromShared) {
-    ++Stats.SharedHits;
-    if (trace::enabled())
-      metrics::Registry::get().add("incr.shared_hits");
-    if (!Cfg.ReadOnly)
-      Store.put(StoredObligation(Shared));
-  }
-  std::set<DepKey> Deps;
-  for (const StoredDep &D : Ob->Deps)
-    Deps.insert(DepKey{D.K, D.Name});
-  Graph.record(ObligationId{Side::Summary, Key}, std::move(Deps));
-  return true;
+  return lookup(Side::Summary, predSummaryKey(Pred),
+                currentFp(DepKey{deps::Kind::Pred, Pred}), SummaryConfigFp,
+                [&](const std::string &Blob) {
+                  return decodePredSummary(Blob, Out);
+                });
 }
 
 void Session::recordSummaryPred(const std::string &Pred,
                                 const std::set<DepKey> &Deps,
                                 const analysis::PredSummary &S) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.SummariesComputed;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.summaries_computed");
-  std::string Key = predSummaryKey(Pred);
-  Graph.record(ObligationId{Side::Summary, Key}, std::set<DepKey>(Deps));
-  StoredObligation Ob;
-  Ob.S = Side::Summary;
-  Ob.Name = std::move(Key);
-  Ob.SelfFp = currentFp(DepKey{deps::Kind::Pred, Pred});
-  Ob.ConfigFp = SummaryConfigFp;
-  Ob.Deps = snapshotDeps(Deps);
-  Ob.Blob = encodePredSummary(S);
-  publishShared(Ob);
-  Store.put(std::move(Ob));
+  record(Side::Summary, predSummaryKey(Pred),
+         currentFp(DepKey{deps::Kind::Pred, Pred}), SummaryConfigFp, Deps,
+         encodePredSummary(S));
 }
 
 void Session::noteTriagedStatic() {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Stats.TriagedStatic;
-  if (trace::enabled())
-    metrics::Registry::get().add("incr.triaged_static");
+  count(Stats.TriagedStatic, "incr.triaged_static");
 }
 
 std::vector<SavedQueryVerdict> Session::solverEntriesToLoad() const {
-  if (!Cfg.LoadSolverCache)
-    return {};
-  return Store.solverEntries();
+  return LoadedSolver;
 }
 
 void Session::saveSolverEntries(std::vector<SavedQueryVerdict> Entries) {
   std::lock_guard<std::mutex> Lock(Mu);
-  if (!Cfg.SaveSolverCache)
+  if (Cfg.ReadOnly)
     return;
-  Store.setSolverEntries(std::move(Entries));
+  // Sorted, so a fully warm run — the entries it loaded, in whatever shard
+  // order — re-puts the same bytes and writes nothing.
+  std::sort(Entries.begin(), Entries.end(),
+            [](const SavedQueryVerdict &A, const SavedQueryVerdict &B) {
+              return std::tie(A.Fp, A.Fp2) < std::tie(B.Fp, B.Fp2);
+            });
+  write(Local, solverEntriesKey(), encodeSolverEntries(Entries));
 }
 
 bool Session::flush() {
   std::lock_guard<std::mutex> Lock(Mu);
-  bool Ok = true;
-  // Only the session-owned backend is flushed (running its size-budget
-  // GC); an externally owned Cfg.Backend is the host's to maintain.
-  if (OwnedRemote && !Cfg.ReadOnly)
-    Ok = OwnedRemote->flush();
-  if (Cfg.ReadOnly || Cfg.StorePath.empty())
-    return Ok;
-  return Store.flush() && Ok;
+  if (Cfg.ReadOnly)
+    return true;
+  if (!IndexTouched.empty() && !Local.Failed) {
+    // Merged into the index on disk: another run on the same store may
+    // have indexed other obligations since this session opened.
+    std::map<ObligationId, IndexEntry> Merged = readIndex();
+    std::set<CacheKey> Current;
+    for (const ObligationId &Id : IndexTouched) {
+      Merged[Id] = Index[Id];
+      Current.insert(Index[Id].Key);
+    }
+    std::vector<IndexEntry> Es;
+    Es.reserve(Merged.size());
+    for (auto &KV : Merged)
+      Es.push_back(std::move(KV.second));
+    write(Local, storeIndexKey(), encodeStoreIndex(Es));
+    // A record this run superseded (an edit of the obligation itself or a
+    // configuration change) is not read again: the store keeps one record
+    // per obligation.
+    if (!Local.Failed)
+      for (const CacheKey &K : Superseded)
+        if (!Current.count(K))
+          Local.Store->remove(K);
+    IndexTouched.clear();
+    Superseded.clear();
+  }
+  if (Shared.Store && Shared.Store->config().SizeBudgetBytes) {
+    std::set<CacheKey> Pins;
+    for (const auto &KV : SharedSeen)
+      Pins.insert(KV.first);
+    Shared.Store->gc(Pins);
+  }
+  return !Local.Failed;
 }

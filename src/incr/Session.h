@@ -1,15 +1,15 @@
 //===- incr/Session.h - One incremental verification session ---------------===//
 ///
 /// \file
-/// The orchestration point of incremental verification: owns the proof
-/// store and the dependency graph for one run, answers the scheduler's
-/// "is this obligation's cached verdict still valid?" question, and records
-/// fresh results. An obligation's cached verdict is reused iff
+/// The orchestration point of incremental verification: opens the proof
+/// stores and owns the dependency graph for one run, answers the
+/// scheduler's "is this obligation's cached verdict still valid?"
+/// question, and records fresh results. An obligation's cached verdict is
+/// reused iff
 ///
-///   * the store holds a record for it,
-///   * the configuration fingerprint (automation knobs + solver budget)
-///     matches,
-///   * its own entity's fingerprint matches, and
+///   * a store holds a record under its key — side, name, its own entity's
+///     fingerprint and the configuration fingerprint (automation knobs +
+///     solver budget) — first the local store, then the shared one, and
 ///   * *every* recorded dependency's current fingerprint matches the one it
 ///     had when the proof ran.
 ///
@@ -30,6 +30,16 @@
 /// to full re-verification. Lint verdicts never salvage: their rendered
 /// diagnostics quote spec text, so they require strict equality.
 ///
+/// The local store keeps one record per obligation, tracked by its index
+/// record (the key of each obligation's current record). A fresh verdict
+/// replaces the record under its key, and a verdict replayed from the
+/// shared store is copied in; the record it supersedes is removed at
+/// flush. A salvage rewrites no record: the refreshed dependency snapshot
+/// goes into the index, written once per run. The shared store, read by
+/// runs on other dependency contexts, takes fresh proof verdicts
+/// (replacing its copy) and fills missing records; salvage refreshes and
+/// recomputed lint verdicts and summaries do not overwrite it.
+///
 /// Thread-safe: the scheduler's workers call lookup*/record* concurrently.
 ///
 //===----------------------------------------------------------------------===//
@@ -37,14 +47,16 @@
 #ifndef GILR_INCR_SESSION_H
 #define GILR_INCR_SESSION_H
 
-#include "incr/CacheBackend.h"
 #include "incr/DepGraph.h"
 #include "incr/Fingerprint.h"
-#include "incr/ProofStore.h"
+#include "incr/Record.h"
+#include "incr/RecordStore.h"
 #include "incr/SpecDiff.h"
 
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 namespace gilr {
 namespace incr {
@@ -55,35 +67,27 @@ struct IncrConfig {
   /// Master switch; when false the overloads fall through to the plain
   /// scheduler path and never touch the disk.
   bool Enabled = false;
-  /// The proof-store file. Created on first flush; a missing or corrupt
-  /// file means a cold run, never an error.
+  /// The local proof store: a record directory (incr/RecordStore.h),
+  /// created on the first write. A missing directory or a corrupt record
+  /// means a cold run (for that record), never an error; a path that names
+  /// something other than a directory runs cold with one warning and is
+  /// never written.
   std::string StorePath;
-  /// Pre-warm the scheduler's QueryCache shards with the persisted solver
-  /// entries.
-  bool LoadSolverCache = true;
-  /// Persist the QueryCache contents at the end of the run.
-  bool SaveSolverCache = true;
-  /// Use the store without writing it back (e.g. CI replay).
+  /// Use the stores without writing them (e.g. CI replay).
   bool ReadOnly = false;
   /// Clause-level semantic salvage across spec edits (incr/SpecDiff.h).
   /// Off = blanket invalidation: any dependency fingerprint change
   /// re-verifies the dependent, the pre-salvage behaviour (the baseline
   /// bench_incr measures the edit-to-verdict speedup against).
   bool SemanticSalvage = true;
-  /// Shared content-addressed cache directory (incr/CacheBackend.h), the
-  /// second cache level behind the local store: local misses consult it,
-  /// fresh verdicts are published to it. Empty = no shared cache. The
-  /// session owns the backend; ReadOnly above also makes it read-only.
+  /// Shared record directory, the second cache level behind the local
+  /// store: local misses consult it, fresh verdicts are published to it
+  /// (see Session). Empty = no shared cache.
   std::string SharedCacheDir;
-  /// Size budget of the shared directory in bytes, enforced by its LRU GC
-  /// at flush time (0 = unlimited).
-  uint64_t SharedCacheBudgetBytes = 0;
-  /// Externally owned backend, overriding SharedCacheDir — the gilrd
-  /// daemon shares one resident backend across requests. Non-owning: the
-  /// session never flushes it (the owner runs GC on its own schedule), but
-  /// pins every key the run touches so a host-driven GC cannot evict them
-  /// mid-run.
-  CacheBackend *Backend = nullptr;
+  /// Externally owned shared store, overriding SharedCacheDir — the gilrd
+  /// daemon shares one resident store across requests. The session's
+  /// flush() runs its size-budget GC, sparing the keys this run touched.
+  RecordStore *Shared = nullptr;
 };
 
 /// Counters of one incremental run.
@@ -105,7 +109,9 @@ struct IncrRunStats {
   /// trivially safe; the executor never ran). Bumped by the scheduler, not
   /// the session.
   uint64_t TriagedStatic = 0;
-  /// Store records found but rejected because a fingerprint changed.
+  /// Store records found but rejected because a fingerprint changed —
+  /// a dependency's, or the obligation's own or its configuration's (a
+  /// local-store miss whose index held an older key).
   uint64_t Invalidated = 0;
   /// Obligations replayed although a dependency fingerprint moved, because
   /// the edit touched no clause the proof relied on (zero solver work) /
@@ -114,16 +120,15 @@ struct IncrRunStats {
   uint64_t Implied = 0;
   /// Solver queries spent discharging salvage implications.
   uint64_t SalvageQueries = 0;
-  /// Load-time store compaction rewrites (superseded append-log records
-  /// dropped, previous-version stores upgraded).
-  uint64_t Compactions = 0;
-  /// Verdicts replayed from the shared content-addressed backend after a
-  /// local-store miss (also counted in cached()/CachedLint), and fresh
-  /// verdicts published to it.
+  /// Verdicts replayed from the shared store after a local-store miss (also
+  /// counted in cached()/CachedLint), and records written to it.
   uint64_t SharedHits = 0;
   uint64_t SharedPuts = 0;
+  /// Whether the local store directory existed when the session opened.
   bool StoreLoaded = false;
-  bool StoreTruncated = false;
+  /// One line per store that could not be used or written this run; the
+  /// verdicts stand, they are just not (all) cached.
+  std::vector<std::string> StoreWarnings;
 
   uint64_t cached() const { return CachedUnsafe + CachedSafe; }
   uint64_t verified() const { return VerifiedUnsafe + VerifiedSafe; }
@@ -132,7 +137,7 @@ struct IncrRunStats {
 
 class Session {
 public:
-  /// Loads the store (if any). \p Contracts may be null for unsafe-only
+  /// Opens the stores (if any). \p Contracts may be null for unsafe-only
   /// runs (engine::Verifier::verifyAll); Contract deps then never validate
   /// unless absent from the record.
   Session(const IncrConfig &Cfg, engine::VerifEnv &Env,
@@ -183,23 +188,24 @@ public:
   /// through the session so the counters travel with the run stats).
   void noteTriagedStatic();
 
-  /// The persisted solver-cache entries to pre-warm the QueryCache with
-  /// (empty when LoadSolverCache is off or the store had none).
+  /// The solver-cache entries persisted in the local store, to pre-warm
+  /// the QueryCache with (empty without a local store).
   std::vector<SavedQueryVerdict> solverEntriesToLoad() const;
 
-  /// Hands the run's QueryCache contents to the store (no-op when
-  /// SaveSolverCache is off).
+  /// Persists the run's QueryCache contents in the local store. The record
+  /// holds them sorted, so it is rewritten only when they changed.
   void saveSolverEntries(std::vector<SavedQueryVerdict> Entries);
 
-  /// Writes the store back (atomic rename). No-op (success) when ReadOnly.
+  /// Writes the local store's index if this run changed it, removes the
+  /// records it superseded, and runs the shared store's size-budget GC
+  /// (with a budget), sparing this run's keys. Returns false when the
+  /// local store could not be used or written this run. No-op (success)
+  /// when ReadOnly.
   bool flush();
 
   const IncrRunStats &stats() const { return Stats; }
   const DepGraph &graph() const { return Graph; }
   const IncrConfig &config() const { return Cfg; }
-  const ProofStore &store() const { return Store; }
-  /// The shared cache backend in use (configured or owned), or nullptr.
-  CacheBackend *backend() const { return Remote; }
 
   /// The current fingerprint of \p Key against the session's tables
   /// (memoised; a missing entity maps to a fixed sentinel, so "was missing
@@ -221,26 +227,58 @@ private:
   };
   DepsVerdict checkDeps(const StoredObligation &Ob, char FlightSide);
   std::vector<StoredDep> snapshotDeps(const std::set<DepKey> &Deps);
-  /// Consults the shared backend for (S, Name) under the *current*
-  /// fingerprints and pins the key for the run. False on miss or when no
-  /// backend is configured; a hit still goes through checkDeps.
-  bool fetchShared(Side S, const std::string &Name, uint64_t SelfFp,
-                   uint64_t CfgFp, StoredObligation &Out);
-  /// Publishes \p Ob to the shared backend (no-op without one).
-  void publishShared(const StoredObligation &Ob);
-  /// Re-records a salvaged obligation under the current fingerprints (same
-  /// blob), so the next run takes the plain warm path. Invalidates \p Ob.
-  void refreshRecord(const StoredObligation &Ob, uint64_t SelfFp,
-                     const std::set<DepKey> &DepKeys);
+
+  /// One cache level: the store (null when absent or unusable) and whether
+  /// its write failure has been reported this run.
+  struct Level {
+    std::unique_ptr<RecordStore> Owned;
+    RecordStore *Store = nullptr;
+    bool Failed = false;
+  };
+  void open(Level &L, const std::string &Dir);
+  /// Reads the obligation record under \p K from \p L.
+  bool fetch(Level &L, const CacheKey &K, StoredObligation &Out);
+  /// Writes \p Blob under \p K to \p L; true when it was written (not
+  /// failed, not already there).
+  bool write(Level &L, const CacheKey &K, const std::string &Blob);
+  /// Writes \p Ob under \p K to the local store and indexes it. No-op
+  /// when ReadOnly.
+  void keepLocally(const StoredObligation &Ob, const CacheKey &K);
+  /// The local store's index record (empty without one).
+  std::map<ObligationId, IndexEntry> readIndex();
+  /// Makes \p K the current record of \p Id in the index, with a salvage's
+  /// \p Refreshed dependency snapshot if given. Callers hold Mu.
+  void index(const ObligationId &Id, const CacheKey &K,
+             const std::vector<StoredDep> *Refreshed);
+
+  /// The keyed lookup behind every lookup* wrapper: the local store, then
+  /// the shared one, then dependency validation. \p Decode turns the
+  /// stored blob into the caller's report. Callers hold Mu.
+  bool lookup(Side S, const std::string &Name, uint64_t SelfFp,
+              uint64_t CfgFp,
+              const std::function<bool(const std::string &)> &Decode);
+  /// The record path behind every record* wrapper. Without a \p Blob
+  /// (budget-degraded results) the verdict is counted but never cached.
+  /// Callers hold Mu.
+  void record(Side S, const std::string &Name, uint64_t SelfFp,
+              uint64_t CfgFp, const std::set<DepKey> &Deps,
+              std::optional<std::string> Blob);
 
   IncrConfig Cfg;
   engine::VerifEnv &Env;
   const creusot::PearliteSpecTable *Contracts;
-  ProofStore Store;
-  /// SharedCacheDir-owned backend (flushed by this session) — Remote
-  /// points at it, or at the externally owned Cfg.Backend.
-  std::unique_ptr<CacheBackend> OwnedRemote;
-  CacheBackend *Remote = nullptr;
+  Level Local, Shared;
+  /// The local store's index as this run sees it, the entries this run
+  /// changed (written at flush) and the records they superseded (removed
+  /// at flush).
+  std::map<ObligationId, IndexEntry> Index;
+  std::set<ObligationId> IndexTouched;
+  std::vector<CacheKey> Superseded;
+  /// Shared-store records this run looked up or wrote (empty when absent),
+  /// so a put knows what it replaces without a second get; its keys are
+  /// spared by the run's GC.
+  std::map<CacheKey, std::optional<StoredObligation>> SharedSeen;
+  std::vector<SavedQueryVerdict> LoadedSolver;
   DepGraph Graph;
   IncrRunStats Stats;
   uint64_t ConfigFp = 0;

@@ -489,7 +489,6 @@ void recordIncrReport(const gilr::incr::IncrRunStats &St) {
   R.Salvaged = St.Salvaged;
   R.Implied = St.Implied;
   R.SalvageQueries = St.SalvageQueries;
-  R.Compactions = St.Compactions;
   R.CachedLint = St.CachedLint;
   R.AnalyzedLint = St.AnalyzedLint;
   R.StoreLoaded = St.StoreLoaded;
@@ -515,12 +514,10 @@ hybrid::HybridDriver::run(const std::vector<std::string> &UnsafeFuncs,
   C.StableCacheKeys = true;
   Scheduler S(C);
   incr::Session Sess(Inc, Env, &Contracts);
-  if (Inc.LoadSolverCache)
-    S.preloadCache(Sess.solverEntriesToLoad());
+  S.preloadCache(Sess.solverEntriesToLoad());
   hybrid::HybridReport Report =
       S.runHybrid(Env, Contracts, UnsafeFuncs, Clients, &Sess);
-  if (Inc.SaveSolverCache)
-    Sess.saveSolverEntries(S.exportCacheEntries());
+  Sess.saveSolverEntries(S.exportCacheEntries());
   Sess.flush();
   recordIncrReport(Sess.stats());
   if (StatsOut)
@@ -542,12 +539,10 @@ engine::Verifier::verifyAll(const std::vector<std::string> &Names,
   C.StableCacheKeys = true;
   Scheduler S(C);
   incr::Session Sess(Inc, Env, /*Contracts=*/nullptr);
-  if (Inc.LoadSolverCache)
-    S.preloadCache(Sess.solverEntriesToLoad());
+  S.preloadCache(Sess.solverEntriesToLoad());
   std::vector<engine::VerifyReport> Reports =
       S.verifyAll(Env, Names, &Sess, &LastAnalysis);
-  if (Inc.SaveSolverCache)
-    Sess.saveSolverEntries(S.exportCacheEntries());
+  Sess.saveSolverEntries(S.exportCacheEntries());
   Sess.flush();
   recordIncrReport(Sess.stats());
   if (StatsOut)

@@ -61,10 +61,10 @@ std::string jsonStringArray(const std::vector<std::string> &Xs) {
 
 Server::Server(ServerConfig C) : Cfg(std::move(C)), Admission(Cfg.Admission) {
   if (!Cfg.CacheDir.empty()) {
-    incr::SharedDirConfig SC;
+    incr::RecordStoreConfig SC;
     SC.Dir = Cfg.CacheDir;
     SC.SizeBudgetBytes = Cfg.CacheBudgetBytes;
-    Backend = std::make_unique<incr::SharedDirBackend>(std::move(SC));
+    Store = std::make_unique<incr::RecordStore>(std::move(SC));
   }
 }
 
@@ -85,6 +85,10 @@ Server::~Server() {
 }
 
 bool Server::start(std::string &Err) {
+  if (Store && !Store->error().empty()) {
+    Err = "cache dir " + Cfg.CacheDir + ": " + Store->error();
+    return false;
+  }
   sockaddr_un Addr{};
   Addr.sun_family = AF_UNIX;
   if (Cfg.SocketPath.size() >= sizeof(Addr.sun_path)) {
@@ -153,8 +157,8 @@ void Server::serve() {
         T.join();
     Handlers.clear();
   }
-  if (Backend)
-    Backend->flush();
+  if (Store)
+    Store->gc();
   ::unlink(Cfg.SocketPath.c_str());
 }
 
@@ -273,7 +277,7 @@ void Server::runModule(
 
   // Mirrors the CLI verify path (frontend/Cli.cpp), with the run wired
   // directly through the scheduler so the daemon's resident state — the
-  // shared cache backend and the accumulated solver entries — plugs in.
+  // shared proof store and the accumulated solver entries — plugs in.
   sched::SchedulerConfig SC;
   SC.Threads = R.Jobs ? R.Jobs : Cfg.Jobs;
   SC.JobTimeoutMs = R.TimeoutMs ? R.TimeoutMs : Cfg.RequestTimeoutMs;
@@ -307,18 +311,15 @@ void Server::runModule(
 
   incr::IncrConfig IC;
   IC.Enabled = true;
-  IC.Backend = Backend.get();
-  // The daemon manages solver-entry residency itself (below); there is no
-  // local store file to load them from or save them to.
-  IC.LoadSolverCache = false;
-  IC.SaveSolverCache = false;
+  // No local store: the daemon keeps the solver entries resident itself.
+  IC.Shared = Store.get();
   incr::Session Sess(IC, Env, &M.Contracts);
   hybrid::HybridReport Report =
       S.runHybrid(Env, M.Contracts, UnsafeFuncs, Clients, &Sess);
   ResidentSolver = S.exportCacheEntries();
   ResidentSolverEntries.store(ResidentSolver.size(),
                               std::memory_order_relaxed);
-  Sess.flush();
+  Sess.flush(); // Enforces the cache budget, sparing this run's records.
 
   int Exit = ServerExitOk;
   if (!Report.Analysis.ok() || Report.Analysis.EntitiesBlocked > 0)
@@ -328,6 +329,8 @@ void Server::runModule(
 
   for (const analysis::Diagnostic &D : Report.Analysis.Diags)
     Send(renderDiagnostic(R.Id, D.str()));
+  for (const std::string &W : Sess.stats().StoreWarnings)
+    Send(renderDiagnostic(R.Id, "warning: " + W));
 
   std::vector<Verdict> Vs;
   for (const engine::VerifyReport &VR : Report.UnsafeSide)
@@ -370,10 +373,9 @@ std::string Server::renderStats(const Request &R) const {
      << ", \"requests\": " << Requests.load(std::memory_order_relaxed)
      << ", \"resident_solver_entries\": "
      << ResidentSolverEntries.load(std::memory_order_relaxed);
-  if (Backend) {
-    incr::CacheBackendStats B = Backend->stats();
-    OS << ", \"cache\": {\"kind\": \"" << Backend->kind()
-       << "\", \"gets\": " << B.Gets << ", \"hits\": " << B.Hits
+  if (Store) {
+    incr::RecordStoreStats B = Store->stats();
+    OS << ", \"cache\": {\"gets\": " << B.Gets << ", \"hits\": " << B.Hits
        << ", \"puts\": " << B.Puts << ", \"puts_skipped\": " << B.PutsSkipped
        << ", \"evictions\": " << B.Evictions << ", \"gc_runs\": " << B.GcRuns
        << ", \"bytes\": " << B.Bytes << ", \"entries\": " << B.Entries

@@ -8,8 +8,8 @@
 ///  * the process-global interned expression tables (warm by construction),
 ///  * the solver query-cache entries of every previous run, preloaded into
 ///    each new run's scheduler cache and re-exported after it,
-///  * a shared content-addressed proof-cache backend
-///    (incr::SharedDirBackend) handed to every run's incr::Session, so an
+///  * a shared content-addressed proof store (incr::RecordStore) handed
+///    to every run's incr::Session, so an
 ///    unchanged module replays its verdicts without any solver work — and
 ///    so a *different* daemon (or CI job) pointed at the same directory
 ///    starts warm too.
@@ -23,15 +23,14 @@
 ///
 /// Shutdown is graceful: a `shutdown` request (or \c stop()) stops the
 /// accept loop, wakes queued requests with an error, drains the in-flight
-/// run, flushes the cache backend (running its size-budget GC) and removes
-/// the socket file.
+/// run, runs the proof store's size-budget GC and removes the socket file.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GILR_SERVER_SERVER_H
 #define GILR_SERVER_SERVER_H
 
-#include "incr/CacheBackend.h"
+#include "incr/RecordStore.h"
 #include "server/Admission.h"
 #include "server/Protocol.h"
 #include "solver/Solver.h"
@@ -51,8 +50,8 @@ namespace server {
 struct ServerConfig {
   /// The Unix-domain socket path to listen on.
   std::string SocketPath = "/tmp/gilrd.sock";
-  /// Shared content-addressed proof-cache directory
-  /// (incr::SharedDirConfig::Dir). Empty = no proof cache; only the
+  /// Shared content-addressed proof-store directory
+  /// (incr::RecordStoreConfig::Dir). Empty = no proof cache; only the
   /// resident solver entries carry warmth between requests.
   std::string CacheDir;
   /// Size budget of the cache directory, enforced by LRU GC after each
@@ -88,7 +87,7 @@ public:
 
   /// Accepts and serves connections until \c stop() (or a shutdown
   /// request). Runs the graceful-shutdown epilogue before returning:
-  /// drains handlers, flushes the cache backend, unlinks the socket.
+  /// drains handlers, runs the proof store's GC, unlinks the socket.
   void serve();
 
   /// Requests shutdown; safe from any thread and from signal context is
@@ -100,8 +99,6 @@ public:
   void requestStopAsync() { Stop.store(true, std::memory_order_relaxed); }
 
   const ServerConfig &config() const { return Cfg; }
-  /// The resident cache backend (nullptr when CacheDir is empty).
-  incr::SharedDirBackend *backend() { return Backend.get(); }
   uint64_t requestsServed() const {
     return Requests.load(std::memory_order_relaxed);
   }
@@ -117,7 +114,7 @@ private:
   std::string renderStats(const Request &R) const;
 
   ServerConfig Cfg;
-  std::unique_ptr<incr::SharedDirBackend> Backend;
+  std::unique_ptr<incr::RecordStore> Store;
   AdmissionQueue Admission;
   /// Serializes verification runs (belt to the admission queue's braces:
   /// the intern tables and run-scoped caches are process state).

@@ -27,7 +27,7 @@ namespace gilr {
 namespace deps {
 
 /// The namespaces of dependable entities. Values are part of the on-disk
-/// proof-store format (incr/ProofStore.h): append only, never renumber.
+/// proof-record format (incr/Record.h): append only, never renumber.
 enum class Kind : uint8_t {
   Function = 0, ///< An RMIR function body.
   Spec = 1,     ///< A Gilsonite spec (gilsonite::SpecTable).

@@ -215,8 +215,6 @@ struct IncrReport {
   uint64_t Implied = 0;
   /// Solver queries spent discharging salvage implications.
   uint64_t SalvageQueries = 0;
-  /// Load-time store compaction rewrites.
-  uint64_t Compactions = 0;
   uint64_t CachedLint = 0;
   uint64_t AnalyzedLint = 0;
   bool StoreLoaded = false;

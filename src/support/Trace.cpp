@@ -420,7 +420,6 @@ gilr::trace::renderStatsJson(const std::vector<std::string> &CaseStudies) {
     Out += ", \"salvaged\": " + std::to_string(IR.Salvaged);
     Out += ", \"implied\": " + std::to_string(IR.Implied);
     Out += ", \"salvage_queries\": " + std::to_string(IR.SalvageQueries);
-    Out += ", \"compactions\": " + std::to_string(IR.Compactions);
     Out += ", \"cached_lint\": " + std::to_string(IR.CachedLint);
     Out += ", \"analyzed_lint\": " + std::to_string(IR.AnalyzedLint);
     Out += std::string(", \"store_loaded\": ") +

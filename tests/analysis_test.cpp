@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 
 using namespace gilr;
 using namespace gilr::analysis;
@@ -796,7 +797,7 @@ struct IncBundle {
 
 TEST(AnalysisIncrTest, WarmRunReplaysLintVerdictsAndEditRelintsOneFunction) {
   std::string Path = ::testing::TempDir() + "gilr_analysis_lint_cache.prf";
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
   const std::vector<std::string> Names = {"f0", "f1", "f2"};
   sched::SchedulerConfig SC;
   incr::IncrConfig Inc;
@@ -842,12 +843,12 @@ TEST(AnalysisIncrTest, WarmRunReplaysLintVerdictsAndEditRelintsOneFunction) {
     EXPECT_EQ(St.AnalyzedLint, 1u);
     EXPECT_EQ(St.CachedLint, 2u);
   }
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
 }
 
 TEST(AnalysisIncrTest, LintConfigChangeInvalidatesOnlyLintVerdicts) {
   std::string Path = ::testing::TempDir() + "gilr_analysis_lint_cfg.prf";
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
   const std::vector<std::string> Names = {"f0", "f1", "f2"};
   sched::SchedulerConfig SC;
   incr::IncrConfig Inc;
@@ -875,7 +876,7 @@ TEST(AnalysisIncrTest, LintConfigChangeInvalidatesOnlyLintVerdicts) {
     EXPECT_EQ(St.CachedLint, 0u);
     EXPECT_EQ(St.CachedUnsafe, 3u); // Proofs still replay.
   }
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
 }
 
 //===----------------------------------------------------------------------===//

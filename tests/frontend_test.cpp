@@ -189,6 +189,30 @@ TEST(FrontendCli, MissingFileIsThree) {
   EXPECT_NE(ErrText.find("GILR-E010"), std::string::npos);
 }
 
+TEST(FrontendCli, StoreThatIsARegularFileRunsColdAndIsKept) {
+  // An old single-file store where the record directory should be: the run
+  // verifies cold with one warning, keeps its exit code and never touches
+  // the file.
+  const std::string Old = "GILRPRF1 an old append-log store";
+  std::string Path = ::testing::TempDir() + "frontend_test_old_store.prf";
+  ASSERT_TRUE(files::writeFile(Path, Old, "old store"));
+  for (int Run = 0; Run != 2; ++Run) {
+    std::string OutText, ErrText;
+    EXPECT_EQ(0, cli({"verify", "--incr-store", Path, corpusPath("vec")},
+                     &OutText, &ErrText));
+    EXPECT_NE(OutText.find("0 cached, 4 verified"), std::string::npos)
+        << OutText;
+    std::size_t At = ErrText.find("warning: cannot use proof store " + Path);
+    ASSERT_NE(At, std::string::npos) << ErrText;
+    EXPECT_EQ(ErrText.find("warning:", At + 1), std::string::npos)
+        << "one warning per store: " << ErrText;
+  }
+  std::string Now;
+  ASSERT_TRUE(files::readFile(Path, Now, "old store"));
+  EXPECT_EQ(Now, Old);
+  std::remove(Path.c_str());
+}
+
 // --- Diagnostics: source locations and carets ---------------------------
 
 TEST(FrontendCli, SyntaxErrorHasCaret) {

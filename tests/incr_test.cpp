@@ -4,8 +4,8 @@
 //
 //  * stable fingerprints are intern-id independent and canonical under
 //    commutative operand order;
-//  * the proof store round-trips verdicts and survives corruption by
-//    degrading to a cold run, never an error;
+//  * the proof store (a record directory) round-trips verdicts and
+//    survives corruption by degrading to a cold run, never an error;
 //  * a warm run replays every verdict (zero solver work) and its report is
 //    byte-identical to the cold run's, modulo the "cached" markers;
 //  * editing one lemma / contract re-verifies exactly its dependents;
@@ -20,7 +20,6 @@
 #include "frontend/Corpus.h"
 #include "hybrid/Driver.h"
 #include "incr/Fingerprint.h"
-#include "incr/ProofStore.h"
 #include "incr/Session.h"
 #include "sched/Scheduler.h"
 #include "support/Trace.h"
@@ -29,8 +28,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <map>
 
 using namespace gilr;
 
@@ -46,7 +49,7 @@ std::string stripCachedMarkers(std::string S) {
 
 std::string tempStorePath(const std::string &Name) {
   std::string Path = ::testing::TempDir() + "gilr_incr_" + Name + ".prf";
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
   return Path;
 }
 
@@ -54,6 +57,24 @@ std::string readFileBytes(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(In),
                      std::istreambuf_iterator<char>());
+}
+
+/// Every file under \p Dir, by relative path, with its bytes.
+std::map<std::string, std::string> snapshotDir(const std::string &Dir) {
+  std::map<std::string, std::string> Out;
+  std::error_code EC;
+  for (const auto &E :
+       std::filesystem::recursive_directory_iterator(Dir, EC))
+    if (E.is_regular_file())
+      Out[std::filesystem::relative(E.path(), Dir).string()] =
+          readFileBytes(E.path().string());
+  return Out;
+}
+
+/// Replaces the directory \p Dir by a copy of \p From.
+void restoreDir(const std::string &From, const std::string &Dir) {
+  std::filesystem::remove_all(Dir);
+  std::filesystem::copy(From, Dir, std::filesystem::copy_options::recursive);
 }
 
 const char *const FunctionalModule =
@@ -154,36 +175,50 @@ engine::VerifyReport sampleReport() {
   return R;
 }
 
-TEST_F(IncrTest, ProofStoreRoundTrips) {
-  std::string Path = tempStorePath("roundtrip");
-
-  incr::ProofStore W(Path);
+incr::StoredObligation sampleObligation(const std::string &Name) {
   incr::StoredObligation Ob;
   Ob.S = incr::Side::Unsafe;
-  Ob.Name = "f";
+  Ob.Name = Name;
   Ob.SelfFp = 0xabc;
   Ob.ConfigFp = 0xdef;
   Ob.Deps = {{deps::Kind::Lemma, "ll_extract_head", 42, false, {}},
-             {deps::Kind::Spec, "f", 43, false, {}}};
+             {deps::Kind::Spec, Name, 43, false, {}}};
   Ob.Blob = incr::encodeVerifyReport(sampleReport());
-  W.put(Ob);
-  W.setSolverEntries({{11, 22, {SatResult::Unsat, 9, 4}}});
-  ASSERT_TRUE(W.flush());
+  return Ob;
+}
 
-  incr::ProofStore Rd(Path);
-  ASSERT_TRUE(Rd.load());
-  EXPECT_FALSE(Rd.truncated());
-  const incr::StoredObligation *Got = Rd.lookup(incr::Side::Unsafe, "f");
-  ASSERT_NE(Got, nullptr);
-  EXPECT_EQ(Got->SelfFp, 0xabcu);
-  EXPECT_EQ(Got->ConfigFp, 0xdefu);
-  ASSERT_EQ(Got->Deps.size(), 2u);
-  EXPECT_EQ(Got->Deps[0].K, deps::Kind::Lemma);
-  EXPECT_EQ(Got->Deps[0].Name, "ll_extract_head");
-  EXPECT_EQ(Got->Deps[0].Fp, 42u);
+incr::CacheKey keyOf(const incr::StoredObligation &Ob) {
+  return incr::obligationCacheKey(Ob.S, Ob.Name, Ob.SelfFp, Ob.ConfigFp);
+}
+
+TEST_F(IncrTest, RecordStoreRoundTrips) {
+  std::string Path = tempStorePath("roundtrip");
+  incr::RecordStoreConfig C;
+  C.Dir = Path;
+
+  incr::RecordStore W(C);
+  incr::StoredObligation Ob = sampleObligation("f");
+  EXPECT_EQ(W.put(keyOf(Ob), incr::encodeObligationRecord(Ob)),
+            incr::RecordStore::PutResult::Written);
+  EXPECT_EQ(W.put(incr::solverEntriesKey(),
+                  incr::encodeSolverEntries({{11, 22, {SatResult::Unsat, 9, 4}}})),
+            incr::RecordStore::PutResult::Written);
+
+  C.MemCacheEntries = 0; // Read back from the files.
+  incr::RecordStore Rd(C);
+  std::string Blob;
+  ASSERT_TRUE(Rd.get(keyOf(Ob), Blob));
+  incr::StoredObligation Got;
+  ASSERT_TRUE(incr::decodeObligationRecord(Blob, Got));
+  EXPECT_EQ(Got.SelfFp, 0xabcu);
+  EXPECT_EQ(Got.ConfigFp, 0xdefu);
+  ASSERT_EQ(Got.Deps.size(), 2u);
+  EXPECT_EQ(Got.Deps[0].K, deps::Kind::Lemma);
+  EXPECT_EQ(Got.Deps[0].Name, "ll_extract_head");
+  EXPECT_EQ(Got.Deps[0].Fp, 42u);
 
   engine::VerifyReport R;
-  ASSERT_TRUE(incr::decodeVerifyReport(Got->Blob, R));
+  ASSERT_TRUE(incr::decodeVerifyReport(Got.Blob, R));
   engine::VerifyReport Want = sampleReport();
   EXPECT_EQ(R.Func, Want.Func);
   EXPECT_EQ(R.Ok, Want.Ok);
@@ -198,201 +233,116 @@ TEST_F(IncrTest, ProofStoreRoundTrips) {
   EXPECT_EQ(R.Phases[0].Key, "engine.consume");
   EXPECT_EQ(R.Phases[0].Nanos, 123456u);
 
-  ASSERT_EQ(Rd.solverEntries().size(), 1u);
-  EXPECT_EQ(Rd.solverEntries()[0].Fp, 11u);
-  EXPECT_EQ(Rd.solverEntries()[0].V.R, SatResult::Unsat);
-  EXPECT_EQ(Rd.solverEntries()[0].V.Branches, 9u);
+  std::vector<SavedQueryVerdict> Solver;
+  ASSERT_TRUE(Rd.get(incr::solverEntriesKey(), Blob));
+  ASSERT_TRUE(incr::decodeSolverEntries(Blob, Solver));
+  ASSERT_EQ(Solver.size(), 1u);
+  EXPECT_EQ(Solver[0].Fp, 11u);
+  EXPECT_EQ(Solver[0].V.R, SatResult::Unsat);
+  EXPECT_EQ(Solver[0].V.Branches, 9u);
+
+  // Re-putting the same bytes writes nothing; other bytes replace the
+  // record.
+  std::string Before = readFileBytes(Rd.recordPath(keyOf(Ob)));
+  EXPECT_EQ(Rd.put(keyOf(Ob), incr::encodeObligationRecord(Ob)),
+            incr::RecordStore::PutResult::Unchanged);
+  Ob.Deps[0].Fp = 44;
+  EXPECT_EQ(Rd.put(keyOf(Ob), incr::encodeObligationRecord(Ob)),
+            incr::RecordStore::PutResult::Written);
+  EXPECT_NE(readFileBytes(Rd.recordPath(keyOf(Ob))), Before);
+  ASSERT_TRUE(Rd.get(keyOf(Ob), Blob));
+  ASSERT_TRUE(incr::decodeObligationRecord(Blob, Got));
+  EXPECT_EQ(Got.Deps[0].Fp, 44u);
 }
 
 TEST_F(IncrTest, MissingAndForeignStoresRunCold) {
-  incr::ProofStore Missing(tempStorePath("missing"));
-  EXPECT_FALSE(Missing.load());
-  EXPECT_EQ(Missing.size(), 0u);
+  incr::RecordStoreConfig Missing;
+  Missing.Dir = tempStorePath("missing");
+  incr::RecordStore M(Missing);
+  EXPECT_TRUE(M.error().empty());
+  std::string Blob;
+  EXPECT_FALSE(M.get(incr::solverEntriesKey(), Blob));
+  EXPECT_FALSE(std::filesystem::exists(Missing.Dir)) << "reads create nothing";
 
+  // A regular file where the directory should be (e.g. an old single-file
+  // store): unusable, and a session never touches it.
   std::string Path = tempStorePath("foreign");
   {
     std::ofstream Out(Path, std::ios::binary);
     Out << "this is not a proof store at all, but it is long enough";
   }
-  incr::ProofStore Foreign(Path);
-  EXPECT_FALSE(Foreign.load());
-  EXPECT_EQ(Foreign.size(), 0u);
+  incr::RecordStoreConfig Foreign;
+  Foreign.Dir = Path;
+  EXPECT_FALSE(incr::RecordStore(Foreign).error().empty());
+
+  incr::IncrConfig Inc;
+  Inc.Enabled = true;
+  Inc.StorePath = Path;
+  sched::SchedulerConfig SC;
+  incr::IncrRunStats S;
+  engine::VerifEnv E = Lib->env();
+  hybrid::HybridDriver D(E, Lib->Contracts);
+  ASSERT_TRUE(D.run(unsafeFuncs(), Lib->verifyClients(), SC, Inc, &S).ok());
+  EXPECT_EQ(S.cached(), 0u);
+  EXPECT_EQ(S.StoreWarnings.size(), 1u);
+  EXPECT_EQ(readFileBytes(Path),
+            "this is not a proof store at all, but it is long enough");
 }
 
-TEST_F(IncrTest, TruncatedStoreKeepsValidPrefix) {
-  std::string Path = tempStorePath("truncated");
-  {
-    incr::ProofStore W(Path);
-    for (const char *Name : {"first", "second"}) {
-      incr::StoredObligation Ob;
-      Ob.S = incr::Side::Unsafe;
-      Ob.Name = Name;
-      Ob.SelfFp = 1;
-      Ob.ConfigFp = 1;
-      Ob.Blob = incr::encodeVerifyReport(sampleReport());
-      W.put(Ob);
-    }
-    ASSERT_TRUE(W.flush());
-  }
+TEST_F(IncrTest, TornOrCorruptRecordsReadAsMisses) {
+  incr::RecordStoreConfig C;
+  C.Dir = tempStorePath("torn");
+  C.MemCacheEntries = 0;
+  incr::RecordStore St(C);
+  incr::StoredObligation First = sampleObligation("first");
+  incr::StoredObligation Second = sampleObligation("second");
+  for (const incr::StoredObligation *Ob : {&First, &Second})
+    ASSERT_EQ(St.put(keyOf(*Ob), incr::encodeObligationRecord(*Ob)),
+              incr::RecordStore::PutResult::Written);
+
+  // Tear the tail off one record — a crash mid-write of a store without
+  // the atomic rename. The other record is unaffected.
+  std::string Path = St.recordPath(keyOf(Second));
   std::string Bytes = readFileBytes(Path);
-  ASSERT_GT(Bytes.size(), 24u);
+  ASSERT_GT(Bytes.size(), 48u);
   {
-    // Tear the tail off the last record — a crash mid-append.
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
     Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size() - 7));
   }
-  incr::ProofStore Rd(Path);
-  EXPECT_TRUE(Rd.load());
-  EXPECT_TRUE(Rd.truncated());
-  EXPECT_EQ(Rd.size(), 1u); // The valid prefix survives.
+  std::string Blob;
+  EXPECT_FALSE(St.get(keyOf(Second), Blob));
+  EXPECT_TRUE(St.get(keyOf(First), Blob));
 
-  // Flipping a payload byte must fail that record's checksum.
-  std::string Flipped = Bytes;
-  Flipped[Flipped.size() / 2] ^= 0x40;
+  // Flipping a payload byte must fail the record's checksum.
+  Bytes[Bytes.size() / 2] ^= 0x40;
   {
     std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(Flipped.data(), static_cast<std::streamsize>(Flipped.size()));
+    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
   }
-  incr::ProofStore Rd2(Path);
-  EXPECT_TRUE(Rd2.load());
-  EXPECT_TRUE(Rd2.truncated());
-  EXPECT_LT(Rd2.size(), 2u);
+  EXPECT_FALSE(St.get(keyOf(Second), Blob));
+
+  // A put repairs it.
+  EXPECT_EQ(St.put(keyOf(Second), incr::encodeObligationRecord(Second)),
+            incr::RecordStore::PutResult::Written);
+  EXPECT_TRUE(St.get(keyOf(Second), Blob));
 }
 
-// Raw little helpers mirroring the store's wire format, for hand-rolling a
-// previous-version file the current writer can no longer produce.
-void appendU32(std::string &S, uint32_t V) {
-  S.append(reinterpret_cast<const char *>(&V), sizeof V);
-}
-void appendU64(std::string &S, uint64_t V) {
-  S.append(reinterpret_cast<const char *>(&V), sizeof V);
-}
-void appendStr(std::string &S, const std::string &T) {
-  appendU32(S, static_cast<uint32_t>(T.size()));
-  S += T;
-}
-uint64_t recordFnv1a(uint8_t Type, const std::string &Payload) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Step = [&H](unsigned char C) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  };
-  Step(Type);
-  for (unsigned char C : Payload)
-    Step(C);
-  return H;
-}
+TEST_F(IncrTest, OversizedListCountsReadAsMalformed) {
+  // A payload whose dependency count claims 2^32-1 entries (say, a crafted
+  // file in a shared cache directory) is malformed, not an allocation.
+  incr::StoredObligation Ob = sampleObligation("f");
+  std::string Payload = incr::encodeObligationRecord(Ob);
+  // side u8 | name u32+bytes | self fp u64 | config fp u64 | deps u32
+  std::size_t At = 1 + 4 + Ob.Name.size() + 8 + 8;
+  const uint32_t Huge = 0xffffffffu;
+  std::memcpy(&Payload[At], &Huge, sizeof Huge);
+  incr::StoredObligation Out;
+  EXPECT_FALSE(incr::decodeObligationRecord(Payload, Out));
 
-TEST_F(IncrTest, V3StoreLoadsAndUpgradesOnCompaction) {
-  // A hand-rolled format-v3 store: one obligation whose dep carries no
-  // clause signature (the field did not exist yet).
-  std::string Payload;
-  Payload.push_back(0); // Side::Unsafe.
-  appendStr(Payload, "f");
-  appendU64(Payload, 0xabc);
-  appendU64(Payload, 0xdef);
-  appendU32(Payload, 1); // One dep, v3 layout: kind | name | fp.
-  Payload.push_back(static_cast<char>(deps::Kind::Spec));
-  appendStr(Payload, "f");
-  appendU64(Payload, 42);
-  appendStr(Payload, "blob");
-
-  std::string File = "GILRPRF1";
-  appendU32(File, 3); // Previous format version.
-  appendU32(File, 0); // Reserved.
-  File.push_back(1);  // RecObligation.
-  appendU32(File, static_cast<uint32_t>(Payload.size()));
-  File += Payload;
-  appendU64(File, recordFnv1a(1, Payload));
-
-  std::string Path = tempStorePath("v3_compat");
-  {
-    std::ofstream Out(Path, std::ios::binary);
-    Out.write(File.data(), static_cast<std::streamsize>(File.size()));
-  }
-
-  // A read-only load understands v3 — deps simply carry no signature (so
-  // they fall back to plain fingerprint equality) — and leaves the file
-  // byte-identical.
-  incr::ProofStore RO(Path);
-  ASSERT_TRUE(RO.load(/*AllowCompaction=*/false));
-  EXPECT_FALSE(RO.truncated());
-  EXPECT_EQ(RO.compactions(), 0u);
-  ASSERT_EQ(RO.size(), 1u);
-  const incr::StoredObligation *Got = RO.lookup(incr::Side::Unsafe, "f");
-  ASSERT_NE(Got, nullptr);
-  EXPECT_EQ(Got->SelfFp, 0xabcu);
-  EXPECT_EQ(Got->ConfigFp, 0xdefu);
-  ASSERT_EQ(Got->Deps.size(), 1u);
-  EXPECT_EQ(Got->Deps[0].K, deps::Kind::Spec);
-  EXPECT_EQ(Got->Deps[0].Fp, 42u);
-  EXPECT_FALSE(Got->Deps[0].HasSig);
-  EXPECT_EQ(Got->Blob, "blob");
-  EXPECT_EQ(readFileBytes(Path), File);
-
-  // A writable load upgrades the file to the current version in a single
-  // compaction rewrite; afterwards loads are rewrite-free.
-  incr::ProofStore W(Path);
-  ASSERT_TRUE(W.load(/*AllowCompaction=*/true));
-  EXPECT_EQ(W.compactions(), 1u);
-  EXPECT_NE(readFileBytes(Path), File);
-
-  incr::ProofStore Again(Path);
-  ASSERT_TRUE(Again.load(/*AllowCompaction=*/true));
-  EXPECT_EQ(Again.compactions(), 0u);
-  const incr::StoredObligation *G2 = Again.lookup(incr::Side::Unsafe, "f");
-  ASSERT_NE(G2, nullptr);
-  EXPECT_EQ(G2->Blob, "blob");
-  ASSERT_EQ(G2->Deps.size(), 1u);
-  EXPECT_FALSE(G2->Deps[0].HasSig);
-}
-
-TEST_F(IncrTest, LoadCompactionDropsSupersededRecords) {
-  std::string Path = tempStorePath("compaction");
-  auto MakeOb = [](const std::string &Blob) {
-    incr::StoredObligation Ob;
-    Ob.S = incr::Side::Unsafe;
-    Ob.Name = "f";
-    Ob.SelfFp = 1;
-    Ob.ConfigFp = 1;
-    Ob.Blob = Blob;
-    return Ob;
-  };
-  {
-    incr::ProofStore W(Path);
-    W.put(MakeOb("first"));
-    ASSERT_TRUE(W.flush());
-  }
-  std::size_t Snapshot = readFileBytes(Path).size();
-
-  // Re-putting the same key onto an intact log appends a superseding
-  // record: cheap warm-loop write, growing file.
-  {
-    incr::ProofStore W(Path);
-    ASSERT_TRUE(W.load(/*AllowCompaction=*/true));
-    EXPECT_EQ(W.compactions(), 0u);
-    W.put(MakeOb("second blob, strictly longer than the first"));
-    ASSERT_TRUE(W.flush());
-  }
-  std::size_t Appended = readFileBytes(Path).size();
-  EXPECT_GT(Appended, Snapshot);
-
-  // The next writable load collapses the supersede chain: one compaction,
-  // the last record wins, and the file shrinks back to one record.
-  {
-    incr::ProofStore R(Path);
-    ASSERT_TRUE(R.load(/*AllowCompaction=*/true));
-    EXPECT_EQ(R.compactions(), 1u);
-    ASSERT_EQ(R.size(), 1u);
-    const incr::StoredObligation *Got = R.lookup(incr::Side::Unsafe, "f");
-    ASSERT_NE(Got, nullptr);
-    EXPECT_EQ(Got->Blob, "second blob, strictly longer than the first");
-  }
-  EXPECT_LT(readFileBytes(Path).size(), Appended);
-
-  incr::ProofStore R2(Path);
-  ASSERT_TRUE(R2.load(/*AllowCompaction=*/true));
-  EXPECT_EQ(R2.compactions(), 0u);
+  std::string Solver = incr::encodeSolverEntries({});
+  std::memcpy(&Solver[0], &Huge, sizeof Huge);
+  std::vector<SavedQueryVerdict> Entries;
+  EXPECT_FALSE(incr::decodeSolverEntries(Solver, Entries));
 }
 
 //===----------------------------------------------------------------------===//
@@ -472,14 +422,24 @@ TEST_F(IncrTest, WarmRunIsWorkerCountIndependent) {
 
 TEST_F(IncrTest, CorruptStoreDegradesToColdRunWithoutError) {
   std::string Path = tempStorePath("corrupt_e2e");
-  {
-    std::ofstream Out(Path, std::ios::binary);
-    Out << "GILRPRF1 garbage follows the magic: \x01\x02\x03";
-  }
   incr::IncrConfig Inc;
   Inc.Enabled = true;
   Inc.StorePath = Path;
   sched::SchedulerConfig C;
+  {
+    engine::VerifEnv E = Lib->env();
+    hybrid::HybridDriver D(E, Lib->Contracts);
+    ASSERT_TRUE(D.run(unsafeFuncs(), Lib->verifyClients(), C, Inc).ok());
+  }
+  // Garble every record after its magic.
+  std::size_t Garbled = 0;
+  for (const auto &[Rel, Bytes] : snapshotDir(Path)) {
+    std::ofstream Out(Path + "/" + Rel, std::ios::binary | std::ios::trunc);
+    Out << Bytes.substr(0, 8) << " garbage follows the magic: \x01\x02\x03";
+    ++Garbled;
+  }
+  ASSERT_GT(Garbled, 0u);
+
   incr::IncrRunStats S;
   engine::VerifEnv E = Lib->env();
   hybrid::HybridDriver D(E, Lib->Contracts);
@@ -487,8 +447,9 @@ TEST_F(IncrTest, CorruptStoreDegradesToColdRunWithoutError) {
       D.run(unsafeFuncs(), Lib->verifyClients(), C, Inc, &S);
   ASSERT_TRUE(R.ok());
   EXPECT_EQ(S.cached(), 0u);
+  EXPECT_TRUE(S.StoreWarnings.empty());
 
-  // The flush at the end replaced the corrupt file with a usable store.
+  // The run replaced the corrupt records with usable ones.
   incr::IncrRunStats S2;
   engine::VerifEnv E2 = Lib->env();
   hybrid::HybridDriver D2(E2, Lib->Contracts);
@@ -508,7 +469,7 @@ TEST_F(IncrTest, ReadOnlyModeNeverWritesTheStore) {
   hybrid::HybridDriver D1(E1, Lib->Contracts);
   ASSERT_TRUE(D1.run(unsafeFuncs(), Lib->verifyClients(), C, Inc).ok());
 
-  std::string Before = readFileBytes(Path);
+  std::map<std::string, std::string> Before = snapshotDir(Path);
   ASSERT_FALSE(Before.empty());
 
   incr::IncrConfig RO = Inc;
@@ -518,7 +479,74 @@ TEST_F(IncrTest, ReadOnlyModeNeverWritesTheStore) {
   hybrid::HybridDriver D2(E2, Lib->Contracts);
   ASSERT_TRUE(D2.run(unsafeFuncs(), Lib->verifyClients(), C, RO, &S).ok());
   EXPECT_EQ(S.cached(), unsafeFuncs().size() + Lib->verifyClients().size());
-  EXPECT_EQ(readFileBytes(Path), Before);
+  EXPECT_EQ(snapshotDir(Path), Before);
+}
+
+TEST_F(IncrTest, FullyWarmRunWritesNothing) {
+  std::string Path = tempStorePath("warm_no_write");
+  incr::IncrConfig Inc;
+  Inc.Enabled = true;
+  Inc.StorePath = Path;
+  sched::SchedulerConfig C;
+  for (int Run = 0; Run != 2; ++Run) {
+    engine::VerifEnv E = Lib->env();
+    hybrid::HybridDriver D(E, Lib->Contracts);
+    ASSERT_TRUE(D.run(unsafeFuncs(), Lib->verifyClients(), C, Inc).ok());
+  }
+  // Back-date every file: any write by the next run shows as a new mtime.
+  auto Old = std::filesystem::file_time_type::clock::now() -
+             std::chrono::hours(1);
+  std::map<std::string, std::filesystem::file_time_type> MTimes;
+  for (const auto &[Rel, Bytes] : snapshotDir(Path)) {
+    std::filesystem::last_write_time(Path + "/" + Rel, Old);
+    MTimes[Rel] = Old;
+  }
+  engine::VerifEnv E = Lib->env();
+  hybrid::HybridDriver D(E, Lib->Contracts);
+  incr::IncrRunStats S;
+  ASSERT_TRUE(D.run(unsafeFuncs(), Lib->verifyClients(), C, Inc, &S).ok());
+  EXPECT_EQ(S.verified(), 0u);
+  std::map<std::string, std::filesystem::file_time_type> After;
+  for (const auto &[Rel, Bytes] : snapshotDir(Path))
+    After[Rel] = std::filesystem::last_write_time(Path + "/" + Rel);
+  EXPECT_EQ(After, MTimes);
+}
+
+TEST_F(IncrTest, SharedOnlyStoreLearnsReprovedVerdicts) {
+  // A shared cache without a local store, and a contract clause edit that
+  // is not salvageable: the first edited run re-proves the dependents and
+  // must replace their shared records, so the second is fully warm.
+  std::string Shared = tempStorePath("shared_only");
+  incr::IncrConfig Inc;
+  Inc.Enabled = true;
+  Inc.SharedCacheDir = Shared;
+  sched::SchedulerConfig SC;
+  std::vector<std::string> Funcs = unsafeFuncs();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
+  {
+    engine::VerifEnv E = Lib->env();
+    hybrid::HybridDriver D(E, Lib->Contracts);
+    ASSERT_TRUE(D.run(Funcs, Clients, SC, Inc).ok());
+  }
+
+  creusot::PearliteSpecTable Edited;
+  for (const auto &[Name, Spec] : Lib->Contracts.all()) {
+    creusot::PearliteSpec Copy = Spec;
+    if (Name == "LinkedList::push_front")
+      Copy.Post = creusot::pAnd(Copy.Post, creusot::pBool(true));
+    Edited.add(std::move(Copy));
+  }
+  std::vector<uint64_t> Verified;
+  for (int Run = 0; Run != 2; ++Run) {
+    engine::VerifEnv E = Lib->env();
+    incr::Session Sess(Inc, E, &Edited);
+    sched::Scheduler S(SC);
+    ASSERT_TRUE(S.runHybrid(E, Edited, Funcs, Clients, &Sess).ok());
+    ASSERT_TRUE(Sess.flush());
+    Verified.push_back(Sess.stats().verified());
+  }
+  EXPECT_GE(Verified[0], 1u);
+  EXPECT_EQ(Verified[1], 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -659,6 +687,80 @@ TEST_F(IncrTest, LemmaEditSalvagesThroughImplication) {
   EXPECT_EQ(S3.SalvageQueries, 0u);
 }
 
+TEST_F(IncrTest, SalvageRewritesOnlyTheIndex) {
+  std::string Path = tempStorePath("salvage_index");
+  incr::IncrConfig Inc;
+  Inc.Enabled = true;
+  Inc.StorePath = Path;
+  sched::SchedulerConfig C;
+  std::vector<std::string> Funcs = unsafeFuncs();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
+  engine::VerifEnv E1 = Lib->env();
+  hybrid::HybridDriver D1(E1, Lib->Contracts);
+  ASSERT_TRUE(D1.run(Funcs, Clients, C, Inc).ok());
+
+  // Back-date every file: a write by the salvaging run shows as a new mtime.
+  auto Old = std::filesystem::file_time_type::clock::now() -
+             std::chrono::hours(1);
+  for (const auto &[Rel, Bytes] : snapshotDir(Path))
+    std::filesystem::last_write_time(Path + "/" + Rel, Old);
+
+  auto *LV = Lib->Lemmas.lookupMutable("ll_extract_head");
+  ASSERT_NE(LV, nullptr);
+  auto &Ex = std::get<engine::ExtractLemma>(*LV);
+  Expr Req = Ex.Requires;
+  Expr Z = mkVar("incr$edit", Sort::Int);
+  Ex.Requires = mkAnd(Req, mkLe(Z, mkAdd(Z, mkInt(1))));
+  incr::IncrRunStats S;
+  engine::VerifEnv E2 = Lib->env();
+  hybrid::HybridDriver D2(E2, Lib->Contracts);
+  bool Ok = D2.run(Funcs, Clients, C, Inc, &S).ok();
+  Ex.Requires = Req; // Restore before asserting (the fixture is shared).
+  ASSERT_TRUE(Ok);
+  EXPECT_EQ(S.Implied, 1u);
+
+  // The refreshed snapshot went into the index record; the salvaged
+  // verdict's own record (and every other) was left alone.
+  incr::RecordStoreConfig RC;
+  RC.Dir = Path;
+  incr::RecordStore St(RC);
+  std::set<std::string> Written;
+  for (const auto &[Rel, Bytes] : snapshotDir(Path))
+    if (std::filesystem::last_write_time(Path + "/" + Rel) != Old)
+      Written.insert((std::filesystem::path(Path) / Rel).string());
+  std::set<std::string> Allowed = {St.recordPath(incr::storeIndexKey()),
+                                   St.recordPath(incr::solverEntriesKey())};
+  EXPECT_TRUE(std::includes(Allowed.begin(), Allowed.end(), Written.begin(),
+                            Written.end()));
+  EXPECT_EQ(Written.count(St.recordPath(incr::storeIndexKey())), 1u);
+}
+
+TEST_F(IncrTest, SupersededRecordsAreRemoved) {
+  std::string Path = tempStorePath("superseded");
+  incr::IncrConfig Inc;
+  Inc.Enabled = true;
+  Inc.StorePath = Path;
+  sched::SchedulerConfig C;
+  std::vector<std::string> Funcs = unsafeFuncs();
+  std::vector<creusot::SafeFn> Clients = Lib->verifyClients();
+  engine::VerifEnv E1 = Lib->env();
+  hybrid::HybridDriver D1(E1, Lib->Contracts);
+  ASSERT_TRUE(D1.run(Funcs, Clients, C, Inc).ok());
+  std::size_t Files = snapshotDir(Path).size();
+
+  // A solver-budget change moves every proof and lint key: the old records
+  // are superseded, counted as invalidated, and removed at flush, so the
+  // store does not grow.
+  engine::VerifEnv E2 = Lib->env();
+  E2.Solv.MaxBranches *= 2;
+  hybrid::HybridDriver D2(E2, Lib->Contracts);
+  incr::IncrRunStats S;
+  ASSERT_TRUE(D2.run(Funcs, Clients, C, Inc, &S).ok());
+  EXPECT_EQ(S.cached(), 0u);
+  EXPECT_GE(S.Invalidated, Funcs.size() + Clients.size());
+  EXPECT_EQ(snapshotDir(Path).size(), Files);
+}
+
 TEST_F(IncrTest, SalvagedWarmRunIsWorkerCountIndependent) {
   std::string Path = tempStorePath("salvage_parallel");
   incr::IncrConfig Inc;
@@ -672,8 +774,9 @@ TEST_F(IncrTest, SalvagedWarmRunIsWorkerCountIndependent) {
   hybrid::HybridDriver D1(E1, Lib->Contracts);
   hybrid::HybridReport Cold = D1.run(Funcs, Clients, Serial, Inc);
   ASSERT_TRUE(Cold.ok());
-  std::string ColdStore = readFileBytes(Path);
-  ASSERT_FALSE(ColdStore.empty());
+  std::string ColdStore = tempStorePath("salvage_parallel_cold");
+  std::filesystem::copy(Path, ColdStore,
+                        std::filesystem::copy_options::recursive);
 
   auto *LV = Lib->Lemmas.lookupMutable("ll_extract_head");
   ASSERT_NE(LV, nullptr);
@@ -682,16 +785,12 @@ TEST_F(IncrTest, SalvagedWarmRunIsWorkerCountIndependent) {
   Expr Z = mkVar("incr$edit", Sort::Int);
   Ex.Requires = mkAnd(Old, mkLe(Z, mkAdd(Z, mkInt(1))));
 
-  // Both runs start from the cold store bytes (a salvage refreshes the
-  // record on disk), so each takes the implication-salvage path; the
-  // rendered reports must not depend on the worker count.
+  // Both runs start from the cold store (a salvage refreshes the record on
+  // disk), so each takes the implication-salvage path; the rendered
+  // reports must not depend on the worker count.
   std::vector<std::string> Rendered;
   for (unsigned Threads : {1u, 4u}) {
-    {
-      std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-      Out.write(ColdStore.data(),
-                static_cast<std::streamsize>(ColdStore.size()));
-    }
+    restoreDir(ColdStore, Path);
     sched::SchedulerConfig C;
     C.Threads = Threads;
     incr::IncrRunStats S;

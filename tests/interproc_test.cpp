@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 
 using namespace gilr;
 using namespace gilr::analysis;
@@ -680,7 +681,7 @@ struct ChainBundle {
 
 TEST(InterprocIncrTest, WarmRunReusesSummariesAndEditInvalidatesSccClosure) {
   std::string Path = ::testing::TempDir() + "gilr_interproc_summaries.prf";
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
   const std::vector<std::string> Names = {"a", "b", "c", "d"};
   sched::SchedulerConfig SC;
   incr::IncrConfig Inc;
@@ -724,12 +725,12 @@ TEST(InterprocIncrTest, WarmRunReusesSummariesAndEditInvalidatesSccClosure) {
     EXPECT_EQ(St.SummariesComputed, 3u);
     EXPECT_EQ(St.SummariesReused, 1u);
   }
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
 }
 
 TEST(InterprocIncrTest, TriagedVerdictsAreCountedButNeverStored) {
   std::string Path = ::testing::TempDir() + "gilr_interproc_triage.prf";
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
   sched::SchedulerConfig SC;
   incr::IncrConfig Inc;
   Inc.Enabled = true;
@@ -776,7 +777,7 @@ TEST(InterprocIncrTest, TriagedVerdictsAreCountedButNeverStored) {
     EXPECT_EQ(St.CachedUnsafe, 0u) << "run " << Run;
     EXPECT_EQ(St.VerifiedUnsafe, 0u) << "run " << Run;
   }
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Path);
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,10 +2,11 @@
 //
 // The verification-as-a-service contract:
 //
-//  * the content-addressed SharedDirBackend round-trips records, degrades
-//    corruption and foreign files to misses, enforces its size budget in
-//    LRU order (pinned keys exempt), and its GC is idempotent;
-//  * two backends over the same directory (two daemons, or a daemon and a
+//  * the content-addressed RecordStore round-trips records, replaces a
+//    record on a put of different bytes, degrades corruption and foreign
+//    files to misses, enforces its size budget in LRU order (pinned keys
+//    exempt), and its GC is idempotent;
+//  * two stores over the same directory (two daemons, or a daemon and a
 //    CI job) share records without torn reads under concurrent get/put;
 //  * the gilr-server-v1 protocol round-trips requests and rejects
 //    malformed, unversioned and unknown-method lines;
@@ -14,12 +15,14 @@
 //  * end to end over a real socket: a second submission of an unchanged
 //    module replays every verdict with zero solver work and renders the
 //    byte-identical `verdicts` array, and a *fresh* daemon pointed at the
-//    same cache directory starts warm too.
+//    same cache directory starts warm too; an edited module re-proved
+//    once replays on its next submission, and a cache budget is enforced
+//    after each run.
 //
 //===----------------------------------------------------------------------===//
 
-#include "incr/CacheBackend.h"
-#include "incr/ProofStore.h"
+#include "incr/Record.h"
+#include "incr/RecordStore.h"
 #include "server/Admission.h"
 #include "server/Client.h"
 #include "server/Protocol.h"
@@ -46,8 +49,7 @@ std::string tempDir(const std::string &Name) {
   return Path;
 }
 
-/// A small but realistic blob: a ProofStore obligation record, the payload
-/// both cache levels share.
+/// A small but realistic blob: an obligation record payload.
 std::string sampleBlob(const std::string &Name, uint64_t SelfFp) {
   incr::StoredObligation Ob;
   Ob.S = incr::Side::Unsafe;
@@ -80,19 +82,21 @@ TEST(CacheKey, DiscriminatesEveryComponent) {
 }
 
 //===----------------------------------------------------------------------===//
-// SharedDirBackend
+// RecordStore
 //===----------------------------------------------------------------------===//
 
-TEST(SharedDirBackend, PutGetRoundTripAndMiss) {
-  incr::SharedDirConfig C;
+using PutResult = incr::RecordStore::PutResult;
+
+TEST(RecordStore, PutGetRoundTripAndMiss) {
+  incr::RecordStoreConfig C;
   C.Dir = tempDir("roundtrip");
-  incr::SharedDirBackend B(C);
+  incr::RecordStore B(C);
   incr::CacheKey K = incr::obligationCacheKey(incr::Side::Unsafe, "f", 1, 2);
   std::string Blob = sampleBlob("f", 1);
 
   std::string Got;
   EXPECT_FALSE(B.get(K, Got));
-  ASSERT_TRUE(B.put(K, Blob));
+  ASSERT_EQ(B.put(K, Blob), PutResult::Written);
   ASSERT_TRUE(B.get(K, Got));
   EXPECT_EQ(Got, Blob);
 
@@ -102,26 +106,36 @@ TEST(SharedDirBackend, PutGetRoundTripAndMiss) {
   EXPECT_EQ(Ob.Name, "f");
   EXPECT_EQ(Ob.Blob, "verdict:f");
 
-  // A second put of the same key is first-writer-wins (skipped, not an
-  // error); a second backend over the same directory sees the record.
-  EXPECT_TRUE(B.put(K, Blob));
-  incr::SharedDirBackend B2(C);
+  // A second put of the same bytes is skipped; a second store over the
+  // same directory sees the record.
+  EXPECT_EQ(B.put(K, Blob), PutResult::Unchanged);
+  incr::RecordStore B2(C);
   ASSERT_TRUE(B2.get(K, Got));
   EXPECT_EQ(Got, Blob);
 
-  incr::CacheBackendStats St = B.stats();
+  // Different bytes under the same key (a re-proved or salvaged verdict)
+  // replace the record, in memory and on disk.
+  std::string Newer = sampleBlob("f", 2);
+  EXPECT_EQ(B2.put(K, Newer), PutResult::Written);
+  ASSERT_TRUE(B2.get(K, Got));
+  EXPECT_EQ(Got, Newer);
+  incr::RecordStore B3(C);
+  ASSERT_TRUE(B3.get(K, Got));
+  EXPECT_EQ(Got, Newer);
+
+  incr::RecordStoreStats St = B.stats();
   EXPECT_EQ(St.Puts, 1u);
   EXPECT_EQ(St.PutsSkipped, 1u);
   EXPECT_GE(St.Hits, 1u);
 }
 
-TEST(SharedDirBackend, CorruptionAndForeignFilesReadAsMisses) {
-  incr::SharedDirConfig C;
+TEST(RecordStore, CorruptionAndForeignFilesReadAsMisses) {
+  incr::RecordStoreConfig C;
   C.Dir = tempDir("corrupt");
   C.MemCacheEntries = 0; // Force every get through the file.
-  incr::SharedDirBackend B(C);
+  incr::RecordStore B(C);
   incr::CacheKey K = incr::obligationCacheKey(incr::Side::Unsafe, "f", 1, 2);
-  ASSERT_TRUE(B.put(K, sampleBlob("f", 1)));
+  ASSERT_EQ(B.put(K, sampleBlob("f", 1)), PutResult::Written);
 
   // Flip a payload byte: the checksum catches it.
   std::string Path = B.recordPath(K);
@@ -138,18 +152,18 @@ TEST(SharedDirBackend, CorruptionAndForeignFilesReadAsMisses) {
 
   // A record renamed under the wrong key: the embedded key guards it.
   incr::CacheKey K2 = incr::obligationCacheKey(incr::Side::Unsafe, "g", 7, 2);
-  ASSERT_TRUE(B.put(K2, sampleBlob("g", 7)));
+  ASSERT_EQ(B.put(K2, sampleBlob("g", 7)), PutResult::Written);
   std::string Renamed;
   ASSERT_TRUE(files::readFile(B.recordPath(K2), Renamed, "record"));
   ASSERT_TRUE(files::writeFile(Path, Renamed, "record"));
   EXPECT_FALSE(B.get(K, Got));
 }
 
-TEST(SharedDirBackend, GcEnforcesBudgetSparesPinnedAndIsIdempotent) {
-  incr::SharedDirConfig C;
+TEST(RecordStore, GcEnforcesBudgetSparesPinnedAndIsIdempotent) {
+  incr::RecordStoreConfig C;
   C.Dir = tempDir("gc");
   C.MemCacheEntries = 0;
-  incr::SharedDirBackend B(C);
+  incr::RecordStore B(C);
 
   // Ten records, ~identical sizes; pin one of the oldest.
   std::vector<incr::CacheKey> Keys;
@@ -158,7 +172,8 @@ TEST(SharedDirBackend, GcEnforcesBudgetSparesPinnedAndIsIdempotent) {
     incr::CacheKey K = incr::obligationCacheKey(
         incr::Side::Unsafe, "f" + std::to_string(I), I, 2);
     Keys.push_back(K);
-    ASSERT_TRUE(B.put(K, sampleBlob("f" + std::to_string(I), I)));
+    ASSERT_EQ(B.put(K, sampleBlob("f" + std::to_string(I), I)),
+              PutResult::Written);
     std::string Bytes;
     ASSERT_TRUE(files::readFile(B.recordPath(K), Bytes, "record"));
     RecordBytes = Bytes.size();
@@ -167,16 +182,25 @@ TEST(SharedDirBackend, GcEnforcesBudgetSparesPinnedAndIsIdempotent) {
         B.recordPath(K), std::filesystem::file_time_type::clock::now() -
                              std::chrono::seconds(100 - I));
   }
-  B.pin(Keys[0]);
+  // Without a budget GC evicts nothing, but still reclaims a crashed
+  // writer's stale temp file.
+  std::string Stale = B.recordPath(Keys[0]) + ".tmp.1.2";
+  ASSERT_TRUE(files::writeFile(Stale, "torn", "temp"));
+  std::filesystem::last_write_time(
+      Stale, std::filesystem::file_time_type::clock::now() -
+                 std::chrono::hours(2));
+  B.gc();
+  EXPECT_EQ(B.stats().Evictions, 0u);
+  EXPECT_EQ(B.stats().Entries, 10u);
+  EXPECT_FALSE(std::filesystem::exists(Stale));
 
   // Budget for roughly four records: GC must evict down to it, oldest
   // first, skipping the pinned key.
-  incr::SharedDirConfig Budgeted = C;
+  incr::RecordStoreConfig Budgeted = C;
   Budgeted.SizeBudgetBytes = RecordBytes * 4;
-  incr::SharedDirBackend Owner(Budgeted);
-  Owner.pin(Keys[0]);
-  ASSERT_TRUE(Owner.gc());
-  incr::CacheBackendStats St = Owner.stats();
+  incr::RecordStore Owner(Budgeted);
+  Owner.gc({Keys[0]});
+  incr::RecordStoreStats St = Owner.stats();
   EXPECT_LE(St.Bytes, Budgeted.SizeBudgetBytes);
   EXPECT_GE(St.Evictions, 1u);
 
@@ -188,27 +212,28 @@ TEST(SharedDirBackend, GcEnforcesBudgetSparesPinnedAndIsIdempotent) {
 
   // Idempotence: a second GC with no intervening traffic evicts nothing.
   uint64_t EvictionsAfterFirst = St.Evictions;
-  ASSERT_TRUE(Owner.gc());
+  Owner.gc({Keys[0]});
   EXPECT_EQ(Owner.stats().Evictions, EvictionsAfterFirst);
 }
 
-TEST(SharedDirBackend, ConcurrentGetPutAcrossTwoBackends) {
-  incr::SharedDirConfig C;
+TEST(RecordStore, ConcurrentGetPutAcrossTwoStores) {
+  incr::RecordStoreConfig C;
   C.Dir = tempDir("concurrent");
-  incr::SharedDirBackend A(C), B(C);
+  incr::RecordStore A(C), B(C);
 
   constexpr int N = 64;
   std::atomic<int> Misdelivered{0};
-  auto Writer = [&](incr::SharedDirBackend &Back, int Lo, int Hi) {
+  auto Writer = [&](incr::RecordStore &Back, int Lo, int Hi) {
     for (int I = Lo; I < Hi; ++I) {
       std::string Name = "f" + std::to_string(I);
       incr::CacheKey K = incr::obligationCacheKey(
           incr::Side::Unsafe, Name, static_cast<uint64_t>(I), 2);
-      if (!Back.put(K, sampleBlob(Name, static_cast<uint64_t>(I))))
+      if (Back.put(K, sampleBlob(Name, static_cast<uint64_t>(I))) ==
+          PutResult::Failed)
         ++Misdelivered;
     }
   };
-  auto Reader = [&](incr::SharedDirBackend &Back) {
+  auto Reader = [&](incr::RecordStore &Back) {
     for (int Round = 0; Round < 4; ++Round)
       for (int I = 0; I < N; ++I) {
         std::string Name = "f" + std::to_string(I);
@@ -230,7 +255,7 @@ TEST(SharedDirBackend, ConcurrentGetPutAcrossTwoBackends) {
   T4.join();
   EXPECT_EQ(Misdelivered.load(), 0);
 
-  // After the dust settles both backends serve all records.
+  // After the dust settles both stores serve all records.
   for (int I = 0; I < N; ++I) {
     std::string Name = "f" + std::to_string(I);
     incr::CacheKey K = incr::obligationCacheKey(
@@ -241,28 +266,29 @@ TEST(SharedDirBackend, ConcurrentGetPutAcrossTwoBackends) {
   }
 }
 
-TEST(LocalStoreBackend, AdaptsTheAppendLog) {
-  std::string Path = ::testing::TempDir() + "gilr_server_localstore.prf";
-  std::remove(Path.c_str());
-  incr::LocalStoreBackend B(Path);
-  incr::CacheKey K = incr::obligationCacheKey(incr::Side::Unsafe, "f", 1, 42);
-  std::string Got;
-  EXPECT_FALSE(B.get(K, Got));
-  ASSERT_TRUE(B.put(K, sampleBlob("f", 1)));
-  ASSERT_TRUE(B.get(K, Got));
-  EXPECT_EQ(Got, sampleBlob("f", 1));
-  ASSERT_TRUE(B.flush());
-
-  // A fresh backend over the flushed file still serves the record.
-  incr::LocalStoreBackend B2(Path);
-  ASSERT_TRUE(B2.get(K, Got));
-  EXPECT_EQ(Got, sampleBlob("f", 1));
-  std::remove(Path.c_str());
-}
-
 //===----------------------------------------------------------------------===//
 // Protocol
 //===----------------------------------------------------------------------===//
+
+TEST(RecordStore, AnotherStoresReplacementIsSeen) {
+  incr::RecordStoreConfig C;
+  C.Dir = tempDir("replaced");
+  incr::RecordStore A(C), B(C);
+  incr::CacheKey K = incr::obligationCacheKey(incr::Side::Unsafe, "f", 1, 2);
+  std::string Old = sampleBlob("f", 1), New = sampleBlob("f", 2), Got;
+
+  ASSERT_EQ(A.put(K, Old), PutResult::Written);
+  ASSERT_TRUE(A.get(K, Got)); // A now holds its in-memory copy.
+  ASSERT_EQ(B.put(K, New), PutResult::Written);
+
+  // A's copy is stale: it serves the replacement, and putting its old
+  // bytes back writes them instead of reporting them unchanged.
+  ASSERT_TRUE(A.get(K, Got));
+  EXPECT_EQ(Got, New);
+  EXPECT_EQ(A.put(K, Old), PutResult::Written);
+  ASSERT_TRUE(B.get(K, Got));
+  EXPECT_EQ(Got, Old);
+}
 
 TEST(Protocol, RequestRoundTripAndRejection) {
   server::Request R;
@@ -507,6 +533,92 @@ TEST_F(ServerEndToEnd, WarmReplayAndSharedCacheAcrossDaemons) {
     S2.stop();
     Serving.join();
   }
+}
+
+/// linkedlist_functional.gilr with its observation conjunct rewritten — an
+/// edit semantic salvage cannot absorb — written to a temp module file.
+std::string editedLinkedList(const std::string &Tag) {
+  std::string Text;
+  EXPECT_TRUE(files::readFile(corpusPath("linkedlist_functional.gilr"), Text,
+                              "corpus module"));
+  const std::string From = "(< (len (get-0 m$self)) 18446744073709551615)";
+  const std::string To = "(<= (len (get-0 m$self)) 18446744073709551614)";
+  std::size_t At = Text.find(From);
+  EXPECT_NE(At, std::string::npos);
+  for (; At != std::string::npos; At = Text.find(From, At))
+    Text.replace(At, From.size(), To);
+  std::string Path = tempDir(Tag) + ".gilr";
+  EXPECT_TRUE(files::writeFile(Path, Text, "test module"));
+  return Path;
+}
+
+json::ValuePtr daemonStats(const std::string &Socket) {
+  server::ClientOptions Opt;
+  Opt.SocketPath = Socket;
+  Opt.Method = "stats";
+  Opt.Json = true;
+  std::ostringstream Out, Err;
+  EXPECT_EQ(server::runClient(Opt, Out, Err), 0) << Err.str();
+  return json::parse(Out.str());
+}
+
+TEST_F(ServerEndToEnd, ReprovedVerdictsReplaceSharedRecords) {
+  std::string Dir = tempDir("reprove");
+  server::ServerConfig Cfg;
+  Cfg.SocketPath = Dir + ".sock";
+  Cfg.CacheDir = Dir;
+  server::Server S(Cfg);
+  ASSERT_FALSE(startServer(S).empty());
+
+  ClientRun Cold =
+      submit(Cfg.SocketPath, corpusPath("linkedlist_functional.gilr"));
+  EXPECT_EQ(Cold.Exit, 0);
+  std::string Edited = editedLinkedList("reprove_mod");
+  ClientRun First = submit(Cfg.SocketPath, Edited);
+  EXPECT_EQ(First.Exit, 0);
+  EXPECT_GE(field(First.Result, "incremental.verified"), 1u);
+  // The re-proved verdicts replaced their records: every proof of the same
+  // edited module replays.
+  ClientRun Second = submit(Cfg.SocketPath, Edited);
+  EXPECT_EQ(Second.Exit, 0);
+  EXPECT_EQ(field(Second.Result, "incremental.verified"), 0u);
+  std::remove(Edited.c_str());
+  S.stop();
+  Serving.join(); // serve() must drain before S is destroyed
+}
+
+TEST_F(ServerEndToEnd, CacheBudgetIsEnforcedAfterEachRun) {
+  std::string Dir = tempDir("budget");
+  server::ServerConfig Cfg;
+  Cfg.SocketPath = Dir + ".sock";
+  Cfg.CacheDir = Dir;
+  // Smaller than the records of the two modules below together.
+  Cfg.CacheBudgetBytes = 16 * 1024;
+  server::Server S(Cfg);
+  ASSERT_FALSE(startServer(S).empty());
+
+  for (const char *Module : {"linkedlist_functional.gilr", "vec.gilr"})
+    EXPECT_EQ(submit(Cfg.SocketPath, corpusPath(Module)).Exit, 0) << Module;
+  json::ValuePtr St = daemonStats(Cfg.SocketPath);
+  ASSERT_TRUE(St && St->isObject());
+  EXPECT_GE(field(St, "cache.gc_runs"), 2u);
+  EXPECT_GT(field(St, "cache.evictions"), 0u);
+  EXPECT_LE(field(St, "cache.bytes"), Cfg.CacheBudgetBytes);
+  S.stop();
+  Serving.join();
+}
+
+TEST(ServerStart, RejectsACacheDirThatIsAFile) {
+  std::string Path = tempDir("cache_file");
+  ASSERT_TRUE(files::writeFile(Path, "not a directory", "test file"));
+  server::ServerConfig Cfg;
+  Cfg.SocketPath = Path + ".sock";
+  Cfg.CacheDir = Path;
+  server::Server S(Cfg);
+  std::string Err;
+  EXPECT_FALSE(S.start(Err));
+  EXPECT_NE(Err.find("not a directory"), std::string::npos) << Err;
+  std::remove(Path.c_str());
 }
 
 TEST_F(ServerEndToEnd, ControlRequestsAndParseFailures) {

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 using namespace gilr;
 
@@ -48,11 +49,11 @@ TEST(TelemetrySchema, TopLevelKeysAreExactlyTheDocumentedSet) {
   incr::IncrConfig IC;
   IC.Enabled = true;
   IC.StorePath = ::testing::TempDir() + "gilr_telemetry_schema.prf";
-  std::remove(IC.StorePath.c_str());
+  std::filesystem::remove_all(IC.StorePath);
   ASSERT_TRUE(
       Driver.run(Lib->verifyFuncs(), Lib->verifyClients(), C, IC).ok());
   flight::reset();
-  std::remove(IC.StorePath.c_str());
+  std::filesystem::remove_all(IC.StorePath);
 
   std::string Text =
       trace::renderStatsJson({"{\"name\": \"golden-case\", \"ok\": true}"});
@@ -87,7 +88,7 @@ TEST(TelemetrySchema, TopLevelKeysAreExactlyTheDocumentedSet) {
         "solver_queries.journal_records", "incremental.cached",
         "incremental.verified", "incremental.salvaged",
         "incremental.implied", "incremental.salvage_queries",
-        "incremental.compactions", "interproc.fn_summaries",
+        "interproc.fn_summaries",
         "interproc.pred_summaries", "interproc.summaries_computed",
         "interproc.summaries_reused", "interproc.triaged_static",
         "interproc.seconds"}) {
